@@ -28,9 +28,9 @@ from .groups import (
 )
 from .oracle import (
     CensusResult,
+    CensusTooCostly,
     GroupTooLarge,
     RankTooLarge,
-    census_backend,
     gaussian_binomial,
     star_matrix_census,
     subgroup_census,
@@ -43,6 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseId",
     "CensusResult",
+    "CensusTooCostly",
     "CountQuery",
     "FormulaBug",
     "FormulaResult",
@@ -60,7 +61,6 @@ __all__ = [
     "ZeroPolynomial",
     "anyrank_case1",
     "canonicalize",
-    "census_backend",
     "classify_rank3",
     "count_hironaka",
     "count_stehling",

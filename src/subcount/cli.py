@@ -118,7 +118,8 @@ def _census_family(cfg):
     fam = []
     for p in cfg.primes:
         for t in _types(cfg.max_rank, cfg.max_part):
-            if p ** sum(t) <= cfg.oracle_limit:
+            if (p ** sum(t) <= cfg.oracle_limit
+                    and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT):
                 fam.append((t, p))
     return fam
 
@@ -166,8 +167,8 @@ def _check_case6_substitution(cfg):
 
 def _check_census_closure(cfg):
     fam = _census_family(cfg)
-    family = "closure census on %d (type, prime) pairs with order <= %d" % (
-        len(fam), cfg.oracle_limit)
+    family = "cover census on %d (type, prime) pairs with order <= %d, cost <= %d" % (
+        len(fam), cfg.oracle_limit, oracle.CENSUS_COST_LIMIT)
     for t, p in fam:
         result = oracle.subgroup_census(t, p, limit=cfg.oracle_limit)
         m = sum(t)
@@ -184,7 +185,7 @@ def _check_census_star(cfg):
     fam = [(t, p) for t, p in _census_family(cfg)
            if len(t) <= 4 and p ** sum(t) <= limit
            and oracle.star_census_cost(t, p) <= 200000]
-    family = "matrix census vs closure census on %d pairs with order <= %d" % (
+    family = "matrix census vs cover census on %d pairs with order <= %d" % (
         len(fam), limit)
     for t, p in fam:
         star = oracle.star_matrix_census(t, p, limit=limit)

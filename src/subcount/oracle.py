@@ -1,33 +1,42 @@
 """Brute-force subgroup enumeration, independent of the counting formulas.
 
-Two oracles: a closure worklist that enumerates every subgroup of a small
-group directly, and a column-reduced matrix census that counts canonical
-subgroup matrices.  Neither one touches the recurrences or the closed forms,
-so agreement between the routes is meaningful evidence.
+Two oracles: a cover census that enumerates every subgroup of a small group
+directly, one index-p step at a time, and a column-reduced matrix census
+that counts canonical subgroup matrices.  Neither one takes its counts from
+the recurrences or the closed forms, so agreement between the routes is
+meaningful evidence; the recurrence only predicts what a census would cost
+before it starts.
 """
+
+from itertools import chain, product
 
 from .groups import GroupType, OutOfRange
 from .polyring import IntPoly
-
-try:
-    from . import _censuskernel
-except ImportError:
-    _censuskernel = None
+from .recurrence import total_count
 
 DEFAULT_LIMIT = 4096
+
+# Largest predicted work either census starts.  The cover census is charged
+# subgroup total times group order (about 0.3 microseconds a unit on a 2-core
+# x86 VM with Python 3.11), the matrix census its candidate matrices
+# (star_census_cost), of which its pruning visits a small share.  Both admit
+# the whole acceptance family, whose cover costs stop at 6,000,000; the
+# queries they refuse would run for minutes or, like the 4.9e11 subgroups of
+# (1^12) at p=2, never finish.
+CENSUS_COST_LIMIT = 20_000_000
+STAR_COST_LIMIT = 20_000_000
 
 
 class GroupTooLarge(ValueError):
     """Raised when the group order exceeds the enumeration limit."""
 
 
+class CensusTooCostly(GroupTooLarge):
+    """Raised when a census's predicted work exceeds its cost limit."""
+
+
 class RankTooLarge(ValueError):
     """Raised when the matrix census is asked for a rank it cannot handle."""
-
-
-def census_backend():
-    """Name of the active closure-census implementation."""
-    return "compiled" if _censuskernel is not None else "pure"
 
 
 class CensusResult:
@@ -69,12 +78,14 @@ def _check_prime(p):
         k += 1
 
 
-def subgroup_census(t, prime, limit=DEFAULT_LIMIT, backend="auto"):
-    """Enumerate all subgroups by iterated cyclic extension and bucket by order.
+def census_cost(t, prime):
+    """Work the cover census would do: subgroup total times group order."""
+    t = GroupType(t)
+    return total_count(t).eval_at(prime) * prime ** t.weight
 
-    backend picks the closure implementation: "auto" prefers the compiled
-    kernel when present, "compiled" demands it, "pure" forces the fallback.
-    """
+
+def subgroup_census(t, prime, limit=DEFAULT_LIMIT):
+    """Enumerate all subgroups by index-p extension and bucket by order."""
     t = GroupType(t)
     _check_prime(prime)
     m = t.weight
@@ -82,108 +93,80 @@ def subgroup_census(t, prime, limit=DEFAULT_LIMIT, backend="auto"):
     if order > limit:
         raise GroupTooLarge(
             "group order %d exceeds the enumeration limit %d" % (order, limit))
-    mods = [prime ** a for a in t.parts]
-    if backend == "auto":
-        backend = census_backend()
-    if backend == "compiled":
-        if _censuskernel is None:
-            raise RuntimeError("compiled census kernel is not available")
-        counts = _censuskernel.closure_census(mods, prime)
-    elif backend == "pure":
-        counts = _closure_census_py(mods, prime)
-    else:
-        raise ValueError("unknown backend %r" % (backend,))
-    counts = list(counts) + [0] * (m + 1 - len(counts))
-    counts = counts[: m + 1]
-    if counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
+    cost = census_cost(t, prime)
+    if cost > CENSUS_COST_LIMIT:
+        raise CensusTooCostly(
+            "census of %s at p=%d would cost %d (subgroups times order), "
+            "over the limit %d" % (t, prime, cost, CENSUS_COST_LIMIT))
+    counts = _cover_census([prime ** a for a in t.parts], prime)
+    if len(counts) != m + 1 or counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
         raise RuntimeError(
             "census invariants violated for %s at p=%d: %s" % (t, prime, counts))
     return CensusResult(prime, t, counts)
 
 
-def _closure_census_py(mods, p):
-    """Pure-Python closure worklist; same algorithm as the compiled kernel."""
+def _mixed_radix(columns):
+    """Entry x is the sum over c of columns[c][digit c of x], digit 0 fastest.
+
+    A column listing f(d) * weight[c] for each digit d thus tabulates the
+    map that applies f to each digit of the mixed-radix encoding.
+    """
+    acc = [0]
+    for col in reversed(columns):
+        acc = [a + v for a in acc for v in col]
+    return acc
+
+
+def _cover_census(mods, p):
+    """Count the subgroups of the sum of Z/mods[i], one order p**e per level.
+
+    Every subgroup K > {0} of a finite p-group has a subgroup H of index p,
+    and then K = H + <g> for any g in K - H, with p*g in H.  So level e+1 is
+    built from level e by adjoining such g; the cosets H, H+g, ...,
+    H+(p-1)g are disjoint, and the covers of one H partition the candidates
+    g outside H, so each cover is built once per H.  A subgroup is kept as
+    the sorted tuple of its elements, which dedupes a level in a set.
+    """
+    mods = sorted(mods, reverse=True)  # keeps _mixed_radix's partial lists short
+    weights = []
     n = 1
     for m in mods:
+        weights.append(n)
         n *= m
-    if n == 1:
-        return [1]
-    digits = []
-    for i in range(n):
-        x, digs = i, []
-        for m in mods:
-            digs.append(x % m)
-            x //= m
-        digits.append(digs)
-    weights = []
-    w = 1
-    for m in mods:
-        weights.append(w)
-        w *= m
-    # rows[i][j] = i + j; each row is the previous row pushed through one
-    # generator step, which keeps the construction at list-indexing speed
-    step = []
-    for c, m in enumerate(mods):
-        perm = [0] * n
-        wc = weights[c]
-        for i in range(n):
-            if digits[i][c] == m - 1:
-                perm[i] = i - (m - 1) * wc
-            else:
-                perm[i] = i + wc
-        step.append(perm)
-    rows = [None] * n
-    rows[0] = list(range(n))
-    for i in range(1, n):
-        for c in range(len(mods)):
-            if digits[i][c]:
-                prev = i - weights[c]
-                perm = step[c]
-                rows[i] = [perm[v] for v in rows[prev]]
-                break
-    seen = {1}
-    work = [(1, [0])]
-    buckets = {}
-    while work:
-        mask, elems = work.pop()
-        size = len(elems)
-        e = 0
-        while size > 1:
-            size //= p
-            e += 1
-        buckets[e] = buckets.get(e, 0) + 1
-        for g in range(1, n):
-            if (mask >> g) & 1:
-                continue
-            kmask = mask
-            kelems = list(elems)
-            cur = g
-            row_g = rows[g]
-            while not (kmask >> cur) & 1:
-                row = rows[cur]
-                for h in elems:
-                    x = row[h]
-                    bit = 1 << x
-                    if not kmask & bit:
-                        kmask |= bit
-                        kelems.append(x)
-                cur = row_g[cur]
-            if kmask not in seen:
-                seen.add(kmask)
-                work.append((kmask, kelems))
-    top = max(buckets)
-    return [buckets.get(e, 0) for e in range(top + 1)]
-
-
-def _vp(x, p):
-    """p-adic valuation; zero maps to a value larger than any test threshold."""
-    if x == 0:
-        return 1 << 30
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    times_p = _mixed_radix([[p * d % m * w for d in range(m)]
+                            for m, w in zip(mods, weights)])
+    preimages = [[] for _ in range(n)]
+    for g, h in enumerate(times_p):
+        preimages[h].append(g)
+    rows = {}  # rows[g][x] = x + g, built for the generators used
+    counts = [1]
+    level = {(0,)}
+    while True:
+        above = set()
+        for elems in level:
+            rest = set(chain.from_iterable(map(preimages.__getitem__, elems)))
+            rest.difference_update(elems)
+            while rest:
+                g = rest.pop()
+                row = rows.get(g)
+                if row is None:
+                    # g // w also carries g's higher digits; they vanish mod m
+                    row = rows[g] = _mixed_radix(
+                        [[(d + g // w) % m * w for d in range(m)]
+                         for m, w in zip(mods, weights)])
+                coset = list(map(row.__getitem__, elems))
+                new = coset
+                for _ in range(p - 2):
+                    coset = list(map(row.__getitem__, coset))
+                    new += coset
+                rest.difference_update(new)
+                new += elems
+                new.sort()
+                above.add(tuple(new))
+        if not above:
+            return counts
+        counts.append(len(above))
+        level = above
 
 
 def _minor(mat, rows, cols):
@@ -219,8 +202,6 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     entries above a diagonal entry run over residues mod p**i_j.  A matrix is
     kept when each excess exponent divides the matching connected minor.
     """
-    from itertools import product
-
     t = GroupType(t)
     _check_prime(prime)
     if t.rank > 4:
@@ -231,41 +212,51 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     if order > limit:
         raise GroupTooLarge(
             "group order %d exceeds the enumeration limit %d" % (order, limit))
+    cost = star_census_cost(t, prime)
+    if cost > STAR_COST_LIMIT:
+        raise CensusTooCostly(
+            "matrix census of %s at p=%d would cost %d candidate matrices, "
+            "over the limit %d" % (t, prime, cost, STAR_COST_LIMIT))
     k = t.rank
     parts = t.parts
+    # entry (r, j) is tested against the minor on rows r..j-1 and columns
+    # r+1..j, which holds no entry of a later column and none above row r of
+    # column j; filling column by column, each from the diagonal upward,
+    # tests every entry as soon as it is set
+    cells = [(r, j) for j in range(1, k) for r in range(j - 1, -1, -1)]
     counts = [0] * (m + 1)
-    if k == 0:
-        counts[0] = 1
-        return CensusResult(prime, t, counts)
     for ivec in product(*[range(0, a + 1) for a in parts]):
-        col_sizes = [prime ** e for e in ivec]
-        body = m - sum(ivec)
-        column_choices = [product(range(col_sizes[j]), repeat=j) for j in range(1, k)]
-        for combo in product(*column_choices):
-            mat = [[0] * k for _ in range(k)]
-            for j in range(k):
-                mat[j][j] = col_sizes[j]
-            for j in range(1, k):
-                col = combo[j - 1]
-                for r in range(j):
-                    mat[r][j] = col[r]
-            ok = True
-            for j in range(1, k):
-                for r in range(j - 1, -1, -1):
-                    excess = ivec[j] + sum(ivec[r:j]) - parts[r]
-                    if excess > 0:
-                        minor = _minor(mat, list(range(r, j)), list(range(r + 1, j + 1)))
-                        if _vp(minor, prime) < excess:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                counts[body] += 1
+        mat = [[0] * k for _ in range(k)]
+        for j in range(k):
+            mat[j][j] = prime ** ivec[j]
+        tests = []
+        for r, j in cells:
+            excess = ivec[j] + sum(ivec[r:j]) - parts[r]
+            if excess > 0:
+                tests.append((list(range(r, j)), list(range(r + 1, j + 1)),
+                              prime ** excess))
+            else:
+                tests.append(None)
+        counts[m - sum(ivec)] += _fillings(mat, cells, tests, 0)
     if counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
         raise RuntimeError(
             "matrix census invariants violated for %s at p=%d: %s" % (t, prime, counts))
     return CensusResult(prime, t, counts)
+
+
+def _fillings(mat, cells, tests, i):
+    """Number of ways to fill cells[i:] so that every minor test passes."""
+    if i == len(cells):
+        return 1
+    r, j = cells[i]
+    row = mat[r]
+    test = tests[i]
+    total = 0
+    for v in range(mat[j][j]):
+        row[j] = v
+        if test is None or _minor(mat, test[0], test[1]) % test[2] == 0:
+            total += _fillings(mat, cells, tests, i + 1)
+    return total
 
 
 def gaussian_binomial(d, b):

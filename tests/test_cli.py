@@ -2,6 +2,8 @@
 import json
 import shutil
 import subprocess
+import sys
+import time
 
 import pytest
 
@@ -70,6 +72,16 @@ class TestCount:
                            "--oracle-limit", "8")
         assert code == 2
         assert "error" in err
+
+    def test_oracle_cost_limit(self, capsys):
+        # order 4096 is inside the order limit; 4.9e11 subgroups are not
+        start = time.monotonic()
+        code, out, err = run(capsys, "count", "--type", ",".join(["1"] * 12),
+                             "--b", "1", "--method", "oracle", "--prime", "2")
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "over the limit" in err
 
     def test_bad_type_literal(self, capsys):
         code, _, err = run(capsys, "count", "--type", "1,x", "--b", "0")
@@ -233,11 +245,11 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "p^3 + 2*p^2 + p + 1 (rank3 Case 2)\n"
 
-    def test_module_invocation(self):
-        import sys
-        proc = subprocess.run(
-            [sys.executable, "-m", "subcount.cli", "count",
-             "--type", "1,1", "--b", "1", "--prime", "2"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout == "p + 1 = 3\n"
+
+def test_module_invocation():
+    proc = subprocess.run(
+        [sys.executable, "-m", "subcount.cli", "count",
+         "--type", "1,1", "--b", "1", "--prime", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "p + 1 = 3\n"

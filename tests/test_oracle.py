@@ -1,13 +1,34 @@
 """Brute-force censuses and the q-binomial reference."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcount.groups import GroupType, OutOfRange
 from subcount.oracle import (
-    DEFAULT_LIMIT, CensusResult, GroupTooLarge, RankTooLarge, census_backend,
-    gaussian_binomial, star_census_cost, star_matrix_census, subgroup_census,
+    CENSUS_COST_LIMIT, DEFAULT_LIMIT, STAR_COST_LIMIT, CensusResult, CensusTooCostly,
+    GroupTooLarge, RankTooLarge, census_cost, gaussian_binomial, star_census_cost,
+    star_matrix_census, subgroup_census,
 )
 from subcount.polyring import IntPoly, ONE
 from subcount.recurrence import count_hironaka
+
+
+# largest weight drawn at each prime: orders stay at most 256, 243 and 125
+WEIGHT_BOUND = {2: 8, 3: 5, 5: 3}
+
+
+@st.composite
+def small_groups(draw):
+    p = draw(st.sampled_from(sorted(WEIGHT_BOUND)))
+    budget = WEIGHT_BOUND[p]
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        if budget == 0:
+            break
+        part = draw(st.integers(1, budget))
+        parts.append(part)
+        budget -= part
+    return GroupType(parts), p
 
 
 class TestClosureCensus:
@@ -37,14 +58,14 @@ class TestClosureCensus:
             for b, got in enumerate(res.counts):
                 assert got == count_hironaka(t, b).eval_at(p)
 
-    def test_backends_agree(self):
-        for t in [(1, 1), (1, 2), (2, 2), (1, 1, 2)]:
-            pure = subgroup_census(t, 2, backend="pure")
-            auto = subgroup_census(t, 2, backend="auto")
-            assert pure.counts == auto.counts
-        if census_backend() == "compiled":
-            compiled = subgroup_census((1, 2), 3, backend="compiled")
-            assert compiled.counts == subgroup_census((1, 2), 3, backend="pure").counts
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups())
+    def test_matches_recurrence_and_star(self, group):
+        t, p = group
+        counts = subgroup_census(t, p).counts
+        assert counts == tuple(count_hironaka(t, b).eval_at(p)
+                               for b in range(t.weight + 1))
+        assert counts == star_matrix_census(t, p).counts
 
     def test_part_order_is_irrelevant(self):
         assert subgroup_census((2, 1), 2).counts == subgroup_census((1, 2), 2).counts
@@ -55,6 +76,17 @@ class TestClosureCensus:
         with pytest.raises(GroupTooLarge):
             subgroup_census((1, 1), 2, limit=3)
         assert DEFAULT_LIMIT == 4096
+
+    def test_cost_limit(self):
+        # order 4096 passes the order limit, but (1^12) at p=2 has about
+        # 4.9e11 subgroups
+        t = (1,) * 12
+        assert census_cost(t, 2) == 488_176_700_923 * 4096
+        with pytest.raises(CensusTooCostly):
+            subgroup_census(t, 2)
+        assert issubclass(CensusTooCostly, GroupTooLarge)
+        # the acceptance family's cover costs reach 6,000,000
+        assert CENSUS_COST_LIMIT >= 6_000_000
 
     def test_prime_validated(self):
         with pytest.raises(ValueError):
@@ -92,6 +124,11 @@ class TestStarCensus:
     def test_size_limit(self):
         with pytest.raises(GroupTooLarge):
             star_matrix_census((13,), 2)
+
+    def test_cost_limit(self):
+        assert star_census_cost((1, 1, 1, 9), 2) > STAR_COST_LIMIT
+        with pytest.raises(CensusTooCostly):
+            star_matrix_census((1, 1, 1, 9), 2)
 
     def test_cost_estimate(self):
         # rank 1 never branches; higher columns contribute geometric sums
