@@ -308,12 +308,6 @@ def verify_case6_specializations():
 # ---------------------------------------------------------------------------
 
 MMM_TABLES = {
-    1: (
-        (L(1), L(3, b=2)),
-        (L(-1), L(2, b=1)),
-        (L(-1), L(1, b=1)),
-        (L(1), L()),
-    ),
     2: (
         (L(1), L(3, m=2)),
         (L(1), L(2, m=2)),
@@ -331,6 +325,8 @@ MMM_TABLES = {
         (L(1), L()),
     ),
 }
+# b <= m is rank-3 case 1 (b <= a1) at a1 = m
+MMM_TABLES[1] = RANK3_TABLES[1]
 
 
 def rank3_mmm(m, b):
@@ -441,16 +437,6 @@ def rank4_partial(t, b):
 # ---------------------------------------------------------------------------
 
 MMMM_TABLES = {
-    1: (
-        (L(1), L(6, b=3)),
-        (L(-1), L(5, b=2)),
-        (L(-1), L(4, b=2)),
-        (L(-1), L(3, b=2)),
-        (L(1), L(3, b=1)),
-        (L(1), L(2, b=1)),
-        (L(1), L(1, b=1)),
-        (L(-1), L()),
-    ),
     2: (
         (L(-1), L(5, b=2)),
         (L(-1), L(4, b=2)),
@@ -506,6 +492,8 @@ MMMM_TABLES = {
         (L(-1), L()),
     ),
 }
+# b <= m is rank-4 partial case 1 (b <= a1) at a1 = m
+MMMM_TABLES[1] = RANK4_PARTIAL_TABLES[1]
 
 
 def rank4_mmmm_b(m, b):

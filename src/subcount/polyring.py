@@ -38,6 +38,19 @@ class IntPoly:
         self._coeffs = tuple(cleaned)
 
     @classmethod
+    def _trusted(cls, coeffs):
+        """Wrap a list of ints that an IntPoly method has just computed.
+
+        The coefficients came from ints already checked, so only trailing
+        zeros are stripped; the list is consumed.
+        """
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        poly._coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -48,11 +61,13 @@ class IntPoly:
     @classmethod
     def term(cls, coeff, exponent):
         """The monomial coeff * p**exponent."""
+        if isinstance(coeff, bool) or not isinstance(coeff, int):
+            raise TypeError("coefficients must be ints, got %r" % (coeff,))
         if exponent < 0:
             raise ValueError("exponent must be nonnegative, got %d" % exponent)
         if coeff == 0:
             return cls()
-        return cls((0,) * exponent + (coeff,))
+        return cls._trusted([0] * exponent + [coeff])
 
     @property
     def coeffs(self):
@@ -83,24 +98,33 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly(tuple(-c for c in self._coeffs))
+        return IntPoly._trusted([-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self._coeffs, other._coeffs
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] -= c
+        else:
+            out = [-c for c in b]
+            for i, c in enumerate(a):
+                out[i] += c
+        return IntPoly._trusted(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -108,14 +132,14 @@ class IntPoly:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
-            return IntPoly()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return IntPoly(out)
+        return IntPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -137,7 +161,7 @@ class IntPoly:
             raise ValueError("shift must be nonnegative")
         if not self._coeffs:
             return self
-        return IntPoly((0,) * k + self._coeffs)
+        return IntPoly._trusted([0] * k + list(self._coeffs))
 
     def divmod(self, other):
         """Long division; returns (quotient, remainder)."""
@@ -151,7 +175,7 @@ class IntPoly:
         dn = len(div)
         lead = div[-1]
         if len(rem) < dn:
-            return IntPoly(), self
+            return ZERO, self
         quo = [0] * (len(rem) - dn + 1)
         for i in range(len(rem) - dn, -1, -1):
             top = rem[i + dn - 1]
@@ -164,7 +188,7 @@ class IntPoly:
             quo[i] = q
             for j, c in enumerate(div):
                 rem[i + j] -= q * c
-        return IntPoly(quo), IntPoly(rem)
+        return IntPoly._trusted(quo), IntPoly._trusted(rem)
 
     def exact_div(self, other):
         """Divide exactly, raising NonExactDivision if a remainder is left."""
@@ -214,14 +238,14 @@ class IntPoly:
         if isinstance(value, IntPoly):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
-            return IntPoly((value,))
+            return IntPoly._trusted([value])
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, IntPoly):
             return self._coeffs == other._coeffs
         if isinstance(other, int) and not isinstance(other, bool):
-            return self == IntPoly((other,))
+            return self == IntPoly._trusted([other])
         return NotImplemented
 
     def __hash__(self):

@@ -47,29 +47,50 @@ def count_hironaka(t, b, memo=None):
     t = GroupType(t)
     if memo is None:
         memo = _HIRONAKA_MEMO
-    return _hironaka(t.parts, b, memo)
-
-
-def _hironaka(parts, b, memo):
-    m = sum(parts)
-    if b < 0 or b > m:
+    if b < 0 or b > t.weight:
         return ZERO
+    return _hironaka_row(t.parts, memo)[b]
+
+
+def _hironaka_row(parts, memo):
+    """The row (H(parts, 0), ..., H(parts, m)) for ascending parts.
+
+    The memo holds one row per prefix of parts with at least two parts.
+    """
     if len(parts) <= 1:
-        return ONE
-    key = (parts, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    head = parts[:-1]
-    mp = m - parts[-1]
+        return (ONE,) * (sum(parts) + 1)
+    row = memo.get(parts)
+    if row is None:
+        row = memo.put(parts, _extend_row(_hironaka_row(parts[:-1], memo), parts[-1]))
+    return row
+
+
+def _extend_row(head_row, a):
+    """The row of parts + (a,) from the row of parts, a >= every part.
+
+    H(parts + (a,), b) is the sum of H(parts, i) * p**i over i <= b, less the
+    sum over m - b < i <= mp when b > a, where m and mp are the weights with
+    and without a.  With P_k the prefix sums of those terms, that is
+    P_min(b, mp) for b <= a, P_b - (P_mp - P_(m-b)) for a < b < mp, and
+    P_(m-b) for b >= mp.
+    """
+    mp = len(head_row) - 1
+    m = mp + a
+    prefix = []
     acc = ZERO
-    for i in range(0, min(b, mp) + 1):
-        acc = acc + _hironaka(head, i, memo).shift(i)
-    # the correction sum is empty exactly when b does not exceed the
-    # largest part
-    for i in range(m + 1 - b, mp + 1):
-        acc = acc - _hironaka(head, i, memo).shift(i)
-    return memo.put(key, acc)
+    for i, h in enumerate(head_row):
+        acc = acc + h.shift(i)
+        prefix.append(acc)
+    top = prefix[mp]
+    row = []
+    for b in range(m + 1):
+        if b <= a:
+            row.append(prefix[min(b, mp)])
+        elif b < mp:
+            row.append(prefix[b] - (top - prefix[m - b]))
+        else:
+            row.append(prefix[m - b])
+    return tuple(row)
 
 
 def count_stehling(t, b, memo=None):
@@ -105,7 +126,9 @@ def _stehling(desc, r, memo):
 def total_count(t, memo=None):
     """Total number of subgroups, summed over every order index."""
     t = GroupType(t)
+    if memo is None:
+        memo = _HIRONAKA_MEMO
     acc = ZERO
-    for b in range(0, t.weight + 1):
-        acc = acc + count_hironaka(t, b, memo)
+    for value in _hironaka_row(t.parts, memo):
+        acc = acc + value
     return acc

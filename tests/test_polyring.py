@@ -36,6 +36,10 @@ class TestConstruction:
             IntPoly((1.5,))
         with pytest.raises(TypeError):
             IntPoly((True,))
+        with pytest.raises(TypeError):
+            IntPoly.term(1.5, 2)
+        with pytest.raises(TypeError):
+            IntPoly.term(True, 2)
 
     def test_p_constant(self):
         assert P == poly(0, 1)
@@ -98,6 +102,31 @@ class TestArithmetic:
     def test_eval_is_a_homomorphism(self, f, g, x):
         assert (f + g).eval_at(x) == f.eval_at(x) + g.eval_at(x)
         assert (f * g).eval_at(x) == f.eval_at(x) * g.eval_at(x)
+
+
+def assert_canonical(r):
+    rebuilt = IntPoly(list(r.coeffs))
+    assert r == rebuilt
+    assert hash(r) == hash(rebuilt)
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert all(type(c) is int for c in r.coeffs)
+
+
+class TestCanonicalResults:
+    """Arithmetic results skip the public constructor's checks; they must
+    still come out exactly as the public constructor would build them."""
+
+    @given(polys, polys, st.integers(-9, 9), st.integers(0, 6))
+    def test_results_are_canonical(self, f, g, c, k):
+        results = [
+            f + g, f - g, -f, f * g, f.shift(k), IntPoly.term(c, k),
+            f - f, f + (-f), (f + g) - g, f + c, c - f, f * c, f * 0,
+        ]
+        if not g.is_zero:
+            results.extend(f.divmod(g))
+            results.extend((f * g).divmod(g))
+        for r in results:
+            assert_canonical(r)
 
 
 class TestDivision:

@@ -1,9 +1,14 @@
 """The two counting recurrences and their memo tables."""
+import itertools
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcount.closedforms import rank2, rank3_mmm, rank4_mmmm_total
 from subcount.groups import GroupType
 from subcount.polyring import IntPoly, ONE, ZERO, geometric
 from subcount.recurrence import MemoTable, count_hironaka, count_stehling, total_count
@@ -77,6 +82,52 @@ class TestAgreement:
 
     def test_accepts_any_iterable(self):
         assert count_hironaka([2, 1], 1) == count_hironaka(GroupType((1, 2)), 1)
+
+
+class TestExhaustive:
+    def test_hironaka_equals_stehling_small_types(self):
+        # every b from -1 to m + 1 reaches the row boundaries b = a_last,
+        # a_last + 1 and m - b = mp, where mp is the weight without a_last
+        for rank in range(5):
+            for parts in itertools.combinations_with_replacement(range(1, 6), rank):
+                for b in range(-1, sum(parts) + 2):
+                    got = count_hironaka(parts, b, MemoTable())
+                    want = count_stehling(parts, b, MemoTable())
+                    assert got == want, (parts, b)
+
+    def test_shared_memo_matches_fresh(self):
+        shared = MemoTable()
+        for parts in [(2, 3, 4), (2, 3)]:
+            for b in range(-1, sum(parts) + 2):
+                assert count_hironaka(parts, b, shared) == count_hironaka(parts, b, MemoTable())
+
+
+class TestLargeTypeBudgets:
+    """Large types finish with at least ten times margin on their budgets."""
+
+    def test_rank3_middle_index(self):
+        start = time.monotonic()
+        got = count_hironaka((300, 300, 300), 450, MemoTable())
+        assert time.monotonic() - start < 3.0
+        assert got == rank3_mmm(300, 450).value
+
+    def test_rank2_single_low_index(self):
+        # one index of a type with huge parts still builds the whole row
+        start = time.monotonic()
+        got = count_hironaka((1000, 1000), 1, MemoTable())
+        assert time.monotonic() - start < 3.0
+        assert got == rank2((1000, 1000), 1).value
+
+    def test_rank4_table_command(self):
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "subcount.cli", "table", "--type", "100,100,100,100"],
+            capture_output=True, text=True)
+        assert time.monotonic() - start < 5.0
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 402
+        assert lines[-1] == "total: %s" % rank4_mmmm_total(100).text()
 
 
 class TestMemoTable:
