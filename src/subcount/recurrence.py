@@ -3,11 +3,14 @@
 Two independent recursions compute the number of subgroups of order p**b in
 an abelian p-group of a given type, as a polynomial in p.  One peels off the
 largest cyclic factor, the other peels off the smallest order-index step.
-They share nothing beyond the polynomial ring, which makes them useful as
-cross-checks on each other.
+Hironaka works on whole rows of IntPoly values; Stehling works on
+Kronecker-packed Python ints and builds an IntPoly only for its answer, so
+the two share no arithmetic code, which makes them useful as cross-checks on
+each other.
 """
 
 import threading
+from math import comb
 
 from .groups import GroupType
 from .polyring import ONE, ZERO, IntPoly
@@ -19,9 +22,8 @@ class MemoTable:
     def __init__(self):
         self._data = {}
         self._lock = threading.Lock()
-
-    def get(self, key):
-        return self._data.get(key)
+        # reads take no lock; the bound dict method saves a Python call
+        self.get = self._data.get
 
     def put(self, key, value):
         with self._lock:
@@ -98,29 +100,74 @@ def count_stehling(t, b, memo=None):
     t = GroupType(t)
     if memo is None:
         memo = _STEHLING_MEMO
-    return _stehling(t.descending(), b, memo)
-
-
-def _stehling(desc, r, memo):
-    if r < 0:
+    weight = t.weight
+    if b < 0 or b > weight:
         return ZERO
-    if not desc:
-        return ONE if r == 0 else ZERO
-    key = (desc, r)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # subtract 1 at the last position of the initial run of maximal parts
-    k = 1
-    while k < len(desc) and desc[k] == desc[0]:
-        k += 1
-    shrunk = list(desc)
-    shrunk[k - 1] -= 1
-    if shrunk[k - 1] == 0:
-        shrunk.pop(k - 1)
-    dropped = desc[1:]
-    value = _stehling(tuple(shrunk), r - 1, memo) + _stehling(dropped, r, memo).shift(r)
-    return memo.put(key, value)
+    # the memo keeps each answer as well as the packed states (keyed by
+    # width first), so a repeated query is one lookup
+    desc = t.descending()
+    answer = memo.get((desc, b))
+    if answer is None:
+        width = (comb(weight + t.rank, t.rank).bit_length() // 64 + 1) * 64
+        packed = _stehling(desc, b, weight - b, width, memo)
+        step = width // 8
+        raw = packed.to_bytes(-(-packed.bit_length() // width) * step, "little")
+        coeffs = [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+        answer = memo.put((desc, b), IntPoly(coeffs))
+    return answer
+
+
+# S(desc, r) = S(shrunk, r - 1) + p**r * S(desc[1:], r), where shrunk takes 1
+# from the last of the leading run of maximal parts, S((), 0) = 1, and S is 0
+# for r < 0 or r > weight(desc).  A value is packed as the int sum of
+# c_i * 2**(i * width), so p**r * x is x << (r * width) and + is int +.
+#
+# The packing is exact when every coefficient is below 2**width.  The
+# recursion only adds and shifts, so coefficients stay nonnegative, and by
+# induction on r + len(desc) every coefficient of S(desc, r) is at most
+# C(r + n, n) with n = len(desc): the first term's are at most C(r - 1 + n, n)
+# (shrunk has at most n parts) and the second's at most C(r + n - 1, n - 1),
+# which sum to C(r + n, n).  Every state reached from a type has r <= weight
+# and n <= rank, so a width with 2**width > C(weight + rank, rank) is
+# carry-free.  This is far tighter than 2**(weight + rank), which would give
+# (300, 300, 300), whose coefficients stay below 2**19, 960-bit slots and a
+# query at b = 450 about 280 MB of memo.
+# count_stehling rounds the width up to a multiple of 64 bits, so slots are
+# whole bytes and few widths occur, and the memo key carries it so that one
+# memo shared across types never mixes widths.
+
+def _stehling(desc, r, gap, width, memo):
+    """S(desc, r) packed at width bits a coefficient; gap = weight(desc) - r >= 0.
+
+    A shrink step lowers r and the weight together, so gap is fixed down the
+    chain.  While desc[0] > gap the second term is 0 (r exceeds the weight of
+    desc[1:]), so the chain first cuts every part down to gap; the memo only
+    holds states past that cut.  Only desc[1:] is recursed on, so the stack
+    depth is at most the rank.
+    """
+    if not gap:  # the cut would leave S((), 0): only the whole group
+        return 1
+    if desc[0] > gap:
+        desc = tuple([min(a, gap) for a in desc])
+        r = sum(desc) - gap
+    chain = []
+    while r:
+        key = (width, desc, r)
+        value = memo.get(key)
+        if value is not None:
+            break
+        chain.append(key)
+        k = desc.count(desc[0])
+        top = desc[0] - 1
+        desc = desc[:k - 1] + (top,) + desc[k:] if top else desc[1:]
+        r -= 1
+    else:
+        value = 1
+    for key in reversed(chain):
+        _, desc, r = key
+        value += _stehling(desc[1:], r, gap - desc[0], width, memo) << (r * width)
+        value = memo.put(key, value)
+    return value
 
 
 def total_count(t, memo=None):

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcount import recurrence
 from subcount.closedforms import rank2, rank3_mmm, rank4_mmmm_total
 from subcount.groups import GroupType
 from subcount.polyring import IntPoly, ONE, ZERO, geometric
@@ -128,6 +129,98 @@ class TestLargeTypeBudgets:
         lines = proc.stdout.splitlines()
         assert len(lines) == 402
         assert lines[-1] == "total: %s" % rank4_mmmm_total(100).text()
+
+
+class TestStehlingDepth:
+    """The Stehling descent recurses only on desc[1:], so its stack depth is
+    bounded by the rank, not by b."""
+
+    @pytest.mark.parametrize("parts, b", [((2000,), 2000), ((1200,), 1000)])
+    def test_long_cyclic_descent(self, parts, b):
+        start = time.monotonic()
+        got = count_stehling(parts, b, MemoTable())
+        assert time.monotonic() - start < 1.0
+        assert got == ONE
+
+    def test_rank2_near_top_index(self):
+        start = time.monotonic()
+        got = count_stehling((500, 500), 990, MemoTable())
+        assert time.monotonic() - start < 1.0
+        assert got == count_hironaka((500, 500), 990, MemoTable())
+
+    def test_rank2_middle_index(self):
+        start = time.monotonic()
+        got = count_stehling((1000, 1000), 1000, MemoTable())
+        assert time.monotonic() - start < 1.0
+        assert got == rank2((1000, 1000), 1000).value
+
+
+def gaussian_binomial(n, k, q):
+    """[n choose k]_q at an integer q, by the product formula."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class TestStehlingPacking:
+    """count_stehling packs coefficients into fixed-width slots of one int."""
+
+    @pytest.mark.parametrize("parts", [
+        (1,) * 32, (1,) * 33, (1,) * 34, (30, 31), (31, 32), (32, 33)])
+    def test_width_boundaries(self, parts):
+        # the slots widen from 64 to 128 bits between (1,)*33 and (1,)*34,
+        # where C(weight + rank, rank) passes 2**64; the others sit either
+        # side of weight + rank = 64
+        hironaka, stehling = MemoTable(), MemoTable()
+        for b in range(-1, sum(parts) + 2):
+            assert count_stehling(parts, b, stehling) == count_hironaka(parts, b, hironaka), b
+
+    def test_coefficients_wider_than_64_bits(self):
+        got = count_stehling((1,) * 80, 40, MemoTable())
+        assert max(got.coeffs) >= 2 ** 64
+        # every true coefficient is below 2**72, so this value fixes them all
+        q = 2 ** 72
+        assert got.eval_at(q) == gaussian_binomial(80, 40, q)
+
+    def test_shared_memo_across_widths(self):
+        # the types share small states such as (1, 1, 1), reached at 64- and
+        # at 128-bit slots
+        types = [(1,) * 34, (2, 3, 4), (1,) * 33, (1,) * 40, (1, 1, 1), (1,) * 34]
+        shared = MemoTable()
+        for parts in types:
+            for b in range(sum(parts) + 1):
+                assert count_stehling(parts, b, shared) == count_stehling(parts, b, MemoTable())
+
+    @given(small_types, st.integers(0, 16))
+    @settings(max_examples=120, deadline=None)
+    def test_results_are_canonical(self, t, b):
+        r = count_stehling(t, b % (t.weight + 1), MemoTable())
+        rebuilt = IntPoly(list(r.coeffs))
+        assert r == rebuilt
+        assert hash(r) == hash(rebuilt)
+        assert r.coeffs and r.coeffs[-1] != 0
+        assert all(type(c) is int for c in r.coeffs)
+
+    def test_out_of_range_adds_no_entry(self):
+        for parts in [(), (3,), (1, 2, 2)]:
+            memo = MemoTable()
+            assert count_stehling(parts, -1, memo) == ZERO
+            assert count_stehling(parts, sum(parts) + 1, memo) == ZERO
+            assert len(memo) == 0
+
+    def test_independent_of_hironaka_and_polynomial_arithmetic(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("count_stehling used another route's arithmetic")
+
+        for name in ("count_hironaka", "_hironaka_row", "_extend_row"):
+            monkeypatch.setattr(recurrence, name, forbidden)
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "shift", "divmod"):
+            monkeypatch.setattr(IntPoly, name, forbidden)
+        got = [count_stehling((1, 2, 3), b, MemoTable()).coeffs for b in range(7)]
+        monkeypatch.undo()
+        assert got == [count_hironaka((1, 2, 3), b, MemoTable()).coeffs for b in range(7)]
 
 
 class TestMemoTable:
