@@ -7,13 +7,12 @@ byte-identical stdout.  Timing information goes to stderr only.
 import argparse
 import json
 import sys
-import time
-from itertools import combinations_with_replacement
+from itertools import groupby
 
-from . import closedforms, genfun, oracle
-from .groups import GroupType, NegativePart, rank3_applicable_cases
+from . import closedforms, oracle, verify
+from .groups import GroupType
 from .polyring import IntPoly
-from .recurrence import count_hironaka, count_stehling, total_count
+from .recurrence import count_hironaka, total_count
 
 
 def _parse_type(text):
@@ -24,6 +23,18 @@ def _parse_type(text):
     return GroupType(parts)
 
 
+def _parse_primes(text):
+    try:
+        primes = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ValueError("--primes must be a comma-separated list of ints")
+    if not primes:
+        raise ValueError("--primes needs at least one prime")
+    for p in primes:
+        oracle._check_prime(p)
+    return primes
+
+
 # ---------------------------------------------------------------------------
 # closed-form resolution shared by count and table
 # ---------------------------------------------------------------------------
@@ -31,8 +42,7 @@ def _parse_type(text):
 def resolve_closed(t, b):
     """Best covering closed form for (t, b), or a miss."""
     t = GroupType(t)
-    m = t.weight
-    if not 0 <= b <= m:
+    if not 0 <= b <= t.weight:
         return closedforms.FormulaResult(IntPoly.zero(), None, True)
     rank = t.rank
     if rank == 2:
@@ -46,382 +56,43 @@ def resolve_closed(t, b):
         result = closedforms.rank4_partial(t, b)
         if result.covered:
             return result
-        return closedforms.anyrank_case1(t, b)
     return closedforms.anyrank_case1(t, b)
 
 
 # ---------------------------------------------------------------------------
-# verification battery
+# verification battery: the checks live in subcount.verify
 # ---------------------------------------------------------------------------
 
 class VerifyReport:
     """Outcome of the verification battery, one record per check."""
 
-    def __init__(self):
-        self.records = []
-
-    def add(self, check, family, passed, counterexample, seconds):
-        self.records.append({
-            "check": check,
-            "family": family,
-            "passed": passed,
-            "counterexample": counterexample,
-            "seconds": seconds,
-        })
-
-    @property
-    def passed(self):
-        return all(r["passed"] for r in self.records)
+    def __init__(self, results):
+        self.records = [r._asdict() for r in results]
+        self.passed = all(r["passed"] for r in self.records)
 
     def failures(self):
         return [r for r in self.records if not r["passed"]]
 
     def to_json(self):
         # timings are excluded so the JSON output is reproducible
-        return {
-            "checks": [
-                {
-                    "check": r["check"],
-                    "family": r["family"],
-                    "passed": r["passed"],
-                    "counterexample": r["counterexample"],
-                }
-                for r in self.records
-            ],
-            "passed": self.passed,
-        }
+        keys = ("check", "family", "passed", "counterexample", "compared")
+        return {"checks": [{k: r[k] for k in keys} for r in self.records],
+                "passed": self.passed}
 
     def lines(self):
-        out = []
-        for r in self.records:
-            if r["passed"]:
-                out.append("PASS %s (%s)" % (r["check"], r["family"]))
-            else:
-                out.append("FAIL %s: %s" % (r["check"], r["counterexample"]))
-        n = len(self.records)
+        out = ["PASS %s (%s)" % (r["check"], r["family"]) if r["passed"]
+               else "FAIL %s: %s" % (r["check"], r["counterexample"])
+               for r in self.records]
         bad = len(self.failures())
-        if bad:
-            out.append("%d of %d checks failed" % (bad, n))
-        else:
-            out.append("all %d checks passed" % n)
+        out.append("%d of %d checks failed" % (bad, len(out)) if bad
+                   else "all %d checks passed" % len(out))
         return out
 
 
-def _types(max_rank, max_part, min_rank=1):
-    out = []
-    for rank in range(min_rank, max_rank + 1):
-        out.extend(combinations_with_replacement(range(1, max_part + 1), rank))
-    return out
-
-
-def _census_family(cfg):
-    fam = []
-    for p in cfg.primes:
-        for t in _types(cfg.max_rank, cfg.max_part):
-            if (p ** sum(t) <= cfg.oracle_limit
-                    and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT):
-                fam.append((t, p))
-    return fam
-
-
-def _check_any_rank_product(cfg):
-    hi = max(4, cfg.max_rank)
-    family = "ranks 2..%d with parts <= %d, covered order indexes" % (
-        hi, min(3, cfg.max_part))
-    for t in _types(hi, min(3, cfg.max_part), min_rank=2):
-        m = sum(t)
-        for b in range(0, m + 1):
-            res = closedforms.anyrank_case1(t, b)
-            if not res.covered:
-                continue
-            want = count_hironaka(t, b)
-            if res.value != want:
-                return family, "%s at type %s b=%d: got %s, want %s" % (
-                    res.case, GroupType(t), b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_boundary_agreement(cfg):
-    family = "rank-3 types with parts <= %d, all overlapping cases" % cfg.max_part
-    for t in _types(3, cfg.max_part, min_rank=3):
-        m = sum(t)
-        for b in range(0, m + 1):
-            values = {}
-            for case_no in rank3_applicable_cases(t, b):
-                values[case_no] = closedforms.rank3_with_case(t, b, case_no).value
-            if len(set(values.values())) > 1:
-                detail = "; ".join(
-                    "case %d -> %s" % (k, v.text()) for k, v in sorted(values.items()))
-                return family, "type %s b=%d disagrees: %s" % (GroupType(t), b, detail)
-    return family, None
-
-
-def _check_case6_substitution(cfg):
-    family = "case-6 table specialized to cases 1-5 and 7-10"
-    bad = closedforms.verify_case6_specializations()
-    if bad:
-        return family, "rank3 Case %s: substitution does not reproduce the table" % (
-            ", ".join(str(k) for k in bad))
-    return family, None
-
-
-def _check_census_closure(cfg):
-    fam = _census_family(cfg)
-    family = "cover census on %d (type, prime) pairs with order <= %d, cost <= %d" % (
-        len(fam), cfg.oracle_limit, oracle.CENSUS_COST_LIMIT)
-    for t, p in fam:
-        result = oracle.subgroup_census(t, p, limit=cfg.oracle_limit)
-        m = sum(t)
-        for b in range(0, m + 1):
-            want = count_hironaka(t, b).eval_at(p)
-            if result.counts[b] != want:
-                return family, "type %s p=%d b=%d: census %d, polynomial %d" % (
-                    GroupType(t), p, b, result.counts[b], want)
-    return family, None
-
-
-def _check_census_star(cfg):
-    limit = min(cfg.oracle_limit, 512)
-    fam = [(t, p) for t, p in _census_family(cfg)
-           if len(t) <= 4 and p ** sum(t) <= limit
-           and oracle.star_census_cost(t, p) <= 200000]
-    family = "matrix census vs cover census on %d pairs with order <= %d" % (
-        len(fam), limit)
-    for t, p in fam:
-        star = oracle.star_matrix_census(t, p, limit=limit)
-        closure = oracle.subgroup_census(t, p, limit=limit)
-        if star.counts != closure.counts:
-            return family, "type %s p=%d: matrix %s, closure %s" % (
-                GroupType(t), p, list(star.counts), list(closure.counts))
-    return family, None
-
-
-def _check_chain_totals(cfg):
-    hi = min(3, cfg.max_part)
-    family = "chains 1 <= w <= x <= y <= z <= %d" % hi
-    for chain in combinations_with_replacement(range(1, hi + 1), 4):
-        w, x, y, z = chain
-        got = closedforms.rank4_total_ccl(w, x, y, z)
-        want = total_count(chain)
-        if got != want:
-            return family, "chain %s: sum %s, recurrence %s" % (
-                chain, got.text(), want.text())
-        lead, degree = closedforms.leading_term_ccl(w, x, y, z)
-        if got.degree() != degree or got.leading_coeff() != lead:
-            return family, "chain %s: leading term (%d, %d) vs closed (%d, %d)" % (
-                chain, got.leading_coeff(), got.degree(), lead, degree)
-        if any(c < 0 for c in got.coeffs):
-            return family, "chain %s: negative coefficient in %s" % (chain, got.text())
-    return family, None
-
-
-def _check_closed_rank2(cfg):
-    family = "rank-2 types with parts <= %d, every order index" % cfg.max_part
-    for t in _types(2, cfg.max_part, min_rank=2):
-        m = sum(t)
-        for b in range(0, m + 1):
-            res = closedforms.rank2(t, b)
-            want = count_hironaka(t, b)
-            if res.value != want:
-                return family, "%s at type %s b=%d: got %s, want %s" % (
-                    res.case, GroupType(t), b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_closed_rank3(cfg):
-    family = "rank-3 types with parts <= %d, every order index" % cfg.max_part
-    for t in _types(3, cfg.max_part, min_rank=3):
-        m = sum(t)
-        for b in range(0, m + 1):
-            res = closedforms.rank3(t, b)
-            want = count_hironaka(t, b)
-            if res.value != want:
-                return family, "%s at type %s b=%d: got %s, want %s" % (
-                    res.case, GroupType(t), b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_closed_rank4_intervals(cfg):
-    part = min(4, cfg.max_part)
-    family = "rank-4 types with parts <= %d, covered order indexes" % part
-    for t in _types(4, part, min_rank=4):
-        m = sum(t)
-        for b in range(0, m + 1):
-            res = closedforms.rank4_partial(t, b)
-            if not res.covered:
-                continue
-            want = count_hironaka(t, b)
-            if res.value != want:
-                return family, "%s at type %s b=%d: got %s, want %s" % (
-                    res.case, GroupType(t), b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_elementary_abelian(cfg):
-    hi = max(6, cfg.max_rank)
-    family = "elementary abelian types up to rank %d" % hi
-    for d in range(0, hi + 1):
-        t = (1,) * d
-        for b in range(0, d + 1):
-            got = oracle.gaussian_binomial(d, b)
-            want = count_hironaka(t, b)
-            if got != want:
-                return family, "rank %d b=%d: binomial %s, recurrence %s" % (
-                    d, b, got.text(), want.text())
-    return family, None
-
-
-def _check_equal_parts_rank3(cfg):
-    hi = cfg.max_part
-    family = "types (m, m, m) with m <= %d" % hi
-    for m in range(1, hi + 1):
-        for b in range(0, 3 * m + 1):
-            res = closedforms.rank3_mmm(m, b)
-            general = closedforms.rank3((m, m, m), b)
-            want = count_hironaka((m, m, m), b)
-            if res.value != want or general.value != want:
-                return family, "%s at m=%d b=%d: got %s, want %s" % (
-                    res.case, m, b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_equal_parts_rank4(cfg):
-    hi = min(3, cfg.max_part)
-    family = "types (m, m, m, m) with m <= %d, every order index" % hi
-    for m in range(1, hi + 1):
-        for b in range(0, 4 * m + 1):
-            res = closedforms.rank4_mmmm_b(m, b)
-            want = count_hironaka((m,) * 4, b)
-            if res.value != want:
-                return family, "%s at m=%d b=%d: got %s, want %s" % (
-                    res.case, m, b, res.value.text(), want.text())
-    return family, None
-
-
-def _check_equal_parts_rank4_total(cfg):
-    hi = min(3, cfg.max_part)
-    family = "total counts of (m, m, m, m) with m <= %d" % hi
-    for m in range(1, hi + 1):
-        got = closedforms.rank4_mmmm_total(m)
-        want = total_count((m,) * 4)
-        if got != want:
-            return family, "m=%d: closed %s, recurrence %s" % (m, got.text(), want.text())
-        if got.degree() != 4 * m or got.leading_coeff() != 1:
-            return family, "m=%d: degree %d leading %d, expected degree %d leading 1" % (
-                m, got.degree(), got.leading_coeff(), 4 * m)
-    return family, None
-
-
-def _check_recurrence_pair(cfg):
-    family = "ranks up to %d with parts <= %d, order indexes -1..m+1" % (
-        cfg.max_rank, cfg.max_part)
-    for t in _types(cfg.max_rank, cfg.max_part):
-        m = sum(t)
-        for b in range(-1, m + 2):
-            a = count_hironaka(t, b)
-            s = count_stehling(t, b)
-            if a != s:
-                return family, "type %s b=%d: %s vs %s" % (
-                    GroupType(t), b, a.text(), s.text())
-    return family, None
-
-
-def _check_nonnegative(cfg):
-    family = "ranks up to %d with parts <= %d" % (cfg.max_rank, cfg.max_part)
-    for t in _types(cfg.max_rank, cfg.max_part):
-        m = sum(t)
-        for b in range(0, m + 1):
-            poly = count_hironaka(t, b)
-            if any(c < 0 for c in poly.coeffs):
-                return family, "type %s b=%d: negative coefficient in %s" % (
-                    GroupType(t), b, poly.text())
-    return family, None
-
-
-def _check_symmetry(cfg):
-    family = "ranks up to %d with parts <= %d" % (cfg.max_rank, cfg.max_part)
-    for t in _types(cfg.max_rank, cfg.max_part):
-        m = sum(t)
-        for b in range(0, m + 1):
-            if count_hironaka(t, b) != count_hironaka(t, m - b):
-                return family, "type %s: order indexes %d and %d differ" % (
-                    GroupType(t), b, m - b)
-    return family, None
-
-
-def _check_series_full(cfg):
-    family = "full rank-2 series at truncation (6, 6, 6)"
-    mism = genfun.verify_F2((6, 6, 6))
-    if mism:
-        first = mism[0]
-        return family, "coefficient at %s: expected %s, got %s" % (
-            first["monomial"], first["expected"], first["got"])
-    return family, None
-
-
-def _check_series_staircase(cfg):
-    family = "four-factor product series at truncation (6, 6, 6)"
-    mism = genfun.verify_g_product((6, 6, 6))
-    if mism:
-        first = mism[0]
-        return family, "coefficient at %s: expected %s, got %s" % (
-            first["monomial"], first["expected"], first["got"])
-    return family, None
-
-
-def _check_series_split(cfg):
-    family = "sub-series readings at truncation (6, 6, 6)"
-    report = genfun.verify_sub_series((6, 6, 6))
-    if not report["ok"]:
-        return family, "validated readings: %s; sum matches full: %s" % (
-            report["validated"], report["sum_matches_full"])
-    return family, None
-
-
-CHECKS = [
-    ("any-rank-product", _check_any_rank_product),
-    ("boundary-agreement", _check_boundary_agreement),
-    ("case6-substitution", _check_case6_substitution),
-    ("census-closure", _check_census_closure),
-    ("census-star", _check_census_star),
-    ("chain-totals", _check_chain_totals),
-    ("closed-rank2", _check_closed_rank2),
-    ("closed-rank3", _check_closed_rank3),
-    ("closed-rank4-intervals", _check_closed_rank4_intervals),
-    ("elementary-abelian", _check_elementary_abelian),
-    ("equal-parts-rank3", _check_equal_parts_rank3),
-    ("equal-parts-rank4", _check_equal_parts_rank4),
-    ("equal-parts-rank4-total", _check_equal_parts_rank4_total),
-    ("nonnegative-coefficients", _check_nonnegative),
-    ("recurrence-pair", _check_recurrence_pair),
-    ("series-full", _check_series_full),
-    ("series-split", _check_series_split),
-    ("series-staircase", _check_series_staircase),
-    ("symmetry", _check_symmetry),
-]
-
-
-class _VerifyConfig:
-    def __init__(self, max_rank, max_part, primes, oracle_limit):
-        self.max_rank = max_rank
-        self.max_part = max_part
-        self.primes = tuple(primes)
-        self.oracle_limit = oracle_limit
-
-
 def run_verify(max_rank=4, max_part=5, primes=(2, 3), oracle_limit=256):
-    """Run every cross-check on families bounded by the arguments."""
-    cfg = _VerifyConfig(max_rank, max_part, primes, oracle_limit)
-    report = VerifyReport()
-    for name, fn in sorted(CHECKS):
-        start = time.monotonic()
-        try:
-            family, counterexample = fn(cfg)
-        except Exception as exc:  # a check crashing is a failure, not an abort
-            family, counterexample = "", "%s: %s" % (type(exc).__name__, exc)
-        report.add(name, family, counterexample is None, counterexample,
-                   time.monotonic() - start)
-    return report
+    """Run every registry entry on families bounded by the arguments."""
+    return VerifyReport(verify.run_all(
+        verify.Scale.of(max_rank, max_part, primes, oracle_limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +103,13 @@ def _json_dump(obj):
     return json.dumps(obj, indent=2, sort_keys=False)
 
 
+def _error(message):
+    print("error: %s" % message, file=sys.stderr)
+    return 2
+
+
 def cmd_count(args):
-    try:
-        t = _parse_type(args.type)
-    except (ValueError, NegativePart) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    t = args.type
     b = args.b
     m = t.weight
     method = args.method
@@ -446,38 +118,24 @@ def cmd_count(args):
     value = None
     if method == "oracle":
         if args.prime is None:
-            print("error: --method oracle needs --prime", file=sys.stderr)
-            return 2
+            return _error("--method oracle needs --prime")
         try:
             census = oracle.subgroup_census(t, args.prime, limit=args.oracle_limit)
         except (oracle.GroupTooLarge, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return _error(exc)
         value = census.counts[b] if 0 <= b <= m else 0
         used = "oracle"
     else:
-        if method in ("auto", "closed"):
-            result = resolve_closed(t, b)
-            if result.covered:
-                poly = result.value
-                case = result.case
-                used = "closed" if case is not None else "recurrence"
-            elif method == "closed":
-                print("error: no closed form covers type %s b=%d" % (t, b),
-                      file=sys.stderr)
-                return 2
-            else:
-                poly = count_hironaka(t, b)
-                used = "recurrence"
+        result = resolve_closed(t, b) if method != "recurrence" else None
+        if result is not None and result.covered:
+            poly = result.value
+            case = result.case
+        elif method == "closed":
+            return _error("no closed form covers type %s b=%d" % (t, b))
         else:
             poly = count_hironaka(t, b)
-            used = "recurrence"
+        used = "closed" if case is not None else "recurrence"
         if args.prime is not None:
-            try:
-                oracle._check_prime(args.prime)
-            except ValueError as exc:
-                print("error: %s" % exc, file=sys.stderr)
-                return 2
             value = poly.eval_at(args.prime)
     if args.json:
         print(_json_dump({
@@ -504,22 +162,8 @@ def cmd_count(args):
 
 
 def cmd_table(args):
-    try:
-        t = _parse_type(args.type)
-    except (ValueError, NegativePart) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.prime is not None:
-        try:
-            oracle._check_prime(args.prime)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-    m = t.weight
-    rows = []
-    for b in range(0, m + 1):
-        poly = count_hironaka(t, b)
-        rows.append((b, poly))
+    t = args.type
+    rows = [(b, count_hironaka(t, b)) for b in range(0, t.weight + 1)]
     total = total_count(t)
     if args.json:
         print(_json_dump({
@@ -550,18 +194,7 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
-    try:
-        primes = tuple(int(x) for x in args.primes.split(",") if x.strip())
-    except ValueError:
-        print("error: --primes must be a comma-separated list of ints",
-              file=sys.stderr)
-        return 2
-    report = run_verify(
-        max_rank=args.max_rank,
-        max_part=args.max_part,
-        primes=primes,
-        oracle_limit=args.oracle_limit,
-    )
+    report = run_verify(args.max_rank, args.max_part, args.primes, args.oracle_limit)
     if args.json:
         print(_json_dump(report.to_json()))
     else:
@@ -572,43 +205,45 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
+def _by_query(result):
+    """Each query's comparisons of a registry run, with whether each one held."""
+    failed = None if result.passed else result.records[-1]
+    for query, group in groupby(result.records, key=lambda c: c.query):
+        group = list(group)
+        yield query, group, [c is not failed for c in group]
+
+
 def cmd_toth(args):
-    ok = True
+    scale = verify.Scale.of(m4_max=args.m_max, chain_max=args.chain_max)
+    totals = verify.run("equal-parts-rank4-total", scale)
+    chains = verify.run("chain-totals", scale)
+    ok = totals.passed and chains.passed
+    for r in (totals, chains):
+        if not r.passed:
+            print("FAIL %s: %s" % (r.check, r.counterexample), file=sys.stderr)
     equal_parts = []
-    for m in range(1, args.m_max + 1):
-        poly = closedforms.rank4_mmmm_total(m)
-        rec = total_count((m,) * 4)
-        entry = {
+    # each m compares its total, degree, leading coefficient and signs, in order
+    for (m,), group, held in _by_query(totals):
+        poly = group[0].got
+        held += [False] * (4 - len(held))
+        equal_parts.append({
             "m": m,
             "degree": poly.degree(),
             "leading": poly.leading_coeff(),
-            "matches_recurrence": poly == rec,
-            "degree_ok": poly.degree() == 4 * m,
-            "leading_ok": poly.leading_coeff() == 1,
+            "matches_recurrence": held[0],
+            "degree_ok": held[1],
+            "leading_ok": held[2],
             "total_at_2": poly.eval_at(2),
-        }
-        entry["ok"] = (entry["matches_recurrence"] and entry["degree_ok"]
-                       and entry["leading_ok"])
-        ok = ok and entry["ok"]
-        equal_parts.append(entry)
-    chains = []
-    for chain in combinations_with_replacement(range(1, args.chain_max + 1), 4):
-        w, x, y, z = chain
-        poly = closedforms.rank4_total_ccl(w, x, y, z)
-        rec = total_count(chain)
-        lead, degree = closedforms.leading_term_ccl(w, x, y, z)
-        entry_ok = (poly == rec and poly.degree() == degree
-                    and poly.leading_coeff() == lead
-                    and all(c >= 0 for c in poly.coeffs))
-        ok = ok and entry_ok
-        chains.append({"chain": list(chain), "ok": entry_ok})
+            "ok": all(held),
+        })
+    checked = len(list(_by_query(chains)))
     if args.json:
         print(_json_dump({
             "equal_parts": equal_parts,
             "chains": {
                 "max": args.chain_max,
-                "count": len(chains),
-                "all_ok": all(c["ok"] for c in chains),
+                "count": checked,
+                "all_ok": chains.passed,
             },
             "passed": ok,
         }))
@@ -618,8 +253,7 @@ def cmd_toth(args):
               % (entry["m"], entry["degree"], entry["leading"],
                  "yes" if entry["ok"] else "NO"))
     print("chains up to %d: %d checked, %s" % (
-        args.chain_max, len(chains),
-        "all match" if all(c["ok"] for c in chains) else "MISMATCH"))
+        args.chain_max, checked, "all match" if chains.passed else "MISMATCH"))
     if equal_parts:
         print("m=1 total at p=2: %d" % equal_parts[0]["total_at_2"])
     return 0 if ok else 1
@@ -639,13 +273,13 @@ def build_parser():
                    default="auto")
     c.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_LIMIT)
     c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=cmd_count)
+    c.set_defaults(fn=cmd_count, positive=())
 
     tbl = sub.add_parser("table", help="all counts for one type")
     tbl.add_argument("--type", required=True)
     tbl.add_argument("--prime", type=int, default=None)
     tbl.add_argument("--json", action="store_true")
-    tbl.set_defaults(fn=cmd_table)
+    tbl.set_defaults(fn=cmd_table, positive=())
 
     v = sub.add_parser("verify", help="run the cross-check battery")
     v.add_argument("--max-rank", type=int, default=4)
@@ -653,13 +287,13 @@ def build_parser():
     v.add_argument("--primes", default="2,3")
     v.add_argument("--oracle-limit", type=int, default=256)
     v.add_argument("--json", action="store_true")
-    v.set_defaults(fn=cmd_verify)
+    v.set_defaults(fn=cmd_verify, positive=("max_rank", "max_part", "oracle_limit"))
 
     tt = sub.add_parser("toth", help="degree and leading-coefficient checks")
     tt.add_argument("--m-max", type=int, default=4)
     tt.add_argument("--chain-max", type=int, default=3)
     tt.add_argument("--json", action="store_true")
-    tt.set_defaults(fn=cmd_toth)
+    tt.set_defaults(fn=cmd_toth, positive=("m_max", "chain_max"))
 
     return parser
 
@@ -667,6 +301,20 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # parse and check every option before any command starts its work
+    try:
+        if getattr(args, "type", None) is not None:
+            args.type = _parse_type(args.type)
+        if getattr(args, "prime", None) is not None:
+            oracle._check_prime(args.prime)
+        if args.command == "verify":
+            args.primes = _parse_primes(args.primes)
+        for name in args.positive:
+            if getattr(args, name) < 1:
+                raise ValueError("--%s must be at least 1, got %d" % (
+                    name.replace("_", "-"), getattr(args, name)))
+    except ValueError as exc:
+        return _error(exc)
     return args.fn(args)
 
 

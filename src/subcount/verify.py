@@ -1,0 +1,255 @@
+"""Verification registry: every cross-check as one entry, run by one runner.
+
+An entry declares its family text, built from a ``Scale``, a generator of
+comparisons of a candidate route against a reference route, and the text of
+a comparison's query.  ``subcount verify``, ``subcount toth`` and the
+acceptance battery all run these entries, each at its own scale.
+"""
+
+import time
+from collections import namedtuple
+from itertools import combinations_with_replacement
+
+from . import closedforms, genfun, oracle
+from .groups import CaseId, GroupType, rank3_applicable_cases
+from .recurrence import count_hironaka, count_stehling, total_count
+
+SERIES_BOUNDS = (6, 6, 6)
+STAR_ORDER_LIMIT = 512
+STAR_COST_GATE = 200000
+
+# route: the candidate's case or name; query: the arguments of the entry's where
+Comparison = namedtuple("Comparison", "route query got want")
+# family: a format string over the Scale s, or a function of the Scale
+Entry = namedtuple("Entry", "family compare where")
+Result = namedtuple("Result", "check family passed counterexample compared seconds "
+                               "records")
+
+
+class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max chain_max "
+                                "census_pairs star_pairs")):
+    """Family bounds of one run; census pairs of None are derived from the rest."""
+
+    @classmethod
+    def of(cls, max_rank=4, max_part=5, primes=(2, 3), oracle_limit=256, **bounds):
+        """The bounds of ``subcount verify``; any of the other fields may be given."""
+        derived = dict(m4_max=min(3, max_part), chain_max=min(3, max_part),
+                       census_pairs=None, star_pairs=None)
+        derived.update(bounds)
+        return cls(max_rank, max_part, tuple(primes), oracle_limit, **derived)
+
+    # the bounds of single checks follow from the fields
+    any_rank = property(lambda s: max(4, s.max_rank))
+    any_part = property(lambda s: min(3, s.max_part))
+    rank4_part = property(lambda s: min(4, s.max_part))
+    elementary_rank = property(lambda s: max(6, s.max_rank))
+    star_limit = property(lambda s: min(s.oracle_limit, STAR_ORDER_LIMIT))
+
+
+def _types(max_rank, max_part, min_rank=1):
+    return [t for rank in range(min_rank, max_rank + 1)
+            for t in combinations_with_replacement(range(1, max_part + 1), rank)]
+
+
+def _queries(types, lo=0, hi=0):
+    """Every (t, b) with b from lo to the weight of t plus hi."""
+    return [(t, b) for t in types for b in range(lo, sum(t) + 1 + hi)]
+
+
+def _at_type(t, b):
+    return "type %s b=%d" % (GroupType(t), b)
+
+
+def _census_pairs(s):
+    if s.census_pairs is not None:
+        return s.census_pairs
+    return [(t, p) for p in s.primes for t in _types(s.max_rank, s.max_part)
+            if p ** sum(t) <= s.oracle_limit
+            and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT]
+
+
+def _star_pairs(s):
+    if s.star_pairs is not None:
+        return s.star_pairs
+    return [(t, p) for t, p in _census_pairs(s) if len(t) <= 4
+            and p ** sum(t) <= s.star_limit
+            and oracle.star_census_cost(t, p) <= STAR_COST_GATE]
+
+
+def _closed(family, queries, *routes, partial=False):
+    """Closed forms vs count_hironaka; a partial catalog skips uncovered queries."""
+    def compare(s):
+        for t, b in queries(s):
+            for route in routes:
+                res = route(t, b)
+                if res.covered or not partial:
+                    yield Comparison(res.case, (t, b), res.value, count_hironaka(t, b))
+    return Entry(family, compare, _at_type)
+
+
+def _census(family, route, pairs, census):
+    """A census at p vs the recurrence polynomial evaluated at p."""
+    def compare(s):
+        for t, p in pairs(s):
+            for b, got in enumerate(census(s, t, p).counts):
+                yield Comparison(route, (t, p, b), got, count_hironaka(t, b).eval_at(p))
+    return Entry(family, compare, lambda t, p, b: "type %s p=%d b=%d" % (
+        GroupType(t), p, b))
+
+
+def _totals(family, route, keys, closed, leading, label):
+    """A closed total vs total_count, then its degree, leading coefficient and signs."""
+    def compare(s):
+        for key, parts in keys(s):
+            got = closed(key)
+            coeff, degree = leading(key)
+            yield Comparison(route, (key,), got, total_count(parts))
+            yield Comparison("degree of " + route, (key,), got.degree(), degree)
+            yield Comparison("leading coefficient of " + route, (key,),
+                             got.leading_coeff(), coeff)
+            yield Comparison("negative coefficients of " + route, (key,),
+                             [c for c in got.coeffs if c < 0], [])
+    return Entry(family, compare, lambda key: label % (key,))
+
+
+def _over(family, queries, probe):
+    """A property of each query; probe returns its comparisons."""
+    def compare(s):
+        for t, b in queries(s):
+            yield from probe(t, b)
+    return Entry(family, compare, _at_type)
+
+
+def _library(family, route, where, verifier):
+    """A library verifier, which returns what it found wrong."""
+    def compare(s):
+        yield Comparison(route, (), verifier(), [])
+    return Entry(family, compare, lambda: where)
+
+
+def _overlapping_cases(t, b):
+    cases = rank3_applicable_cases(t, b)
+    want = closedforms.rank3_with_case(t, b, cases[0]).value
+    return [Comparison("rank3 Case %d vs Case %d" % (k, cases[0]), (t, b),
+                       closedforms.rank3_with_case(t, b, k).value, want)
+            for k in cases[1:]]
+
+
+def _series_split():
+    report = genfun.verify_sub_series(SERIES_BOUNDS)
+    return [] if report["ok"] else ["validated readings: %s; sum matches full: %s" % (
+        report["validated"], report["sum_matches_full"])]
+
+
+# routes are looked up when a check runs, so a patched or traced function is compared
+REGISTRY = {
+    "any-rank-product": _closed(
+        "ranks 2..{s.any_rank} with parts <= {s.any_part}, covered order indexes",
+        lambda s: _queries(_types(s.any_rank, s.any_part, 2)),
+        lambda t, b: closedforms.anyrank_case1(t, b), partial=True),
+    "boundary-agreement": _over(
+        "rank-3 types with parts <= {s.max_part}, all overlapping cases",
+        lambda s: _queries(_types(3, s.max_part, 3)), _overlapping_cases),
+    "case6-substitution": _library(
+        "case-6 table specialized to cases 1-5 and 7-10",
+        "rank3 Case 6 substituted", "cases 1-5 and 7-10", lambda: [
+            str(CaseId("rank3", k)) for k in closedforms.verify_case6_specializations()]),
+    "census-closure": _census(
+        lambda s: "cover census on %d (type, prime) pairs with order <= %d, cost <= %d"
+        % (len(_census_pairs(s)), s.oracle_limit, oracle.CENSUS_COST_LIMIT),
+        "cover census", _census_pairs,
+        lambda s, t, p: oracle.subgroup_census(t, p, limit=s.oracle_limit)),
+    "census-star": _census(
+        lambda s: "matrix census vs recurrence at p on %d pairs with order <= %d" % (
+            len(_star_pairs(s)), s.star_limit),
+        "matrix census", _star_pairs,
+        lambda s, t, p: oracle.star_matrix_census(t, p, limit=s.oracle_limit)),
+    "chain-totals": _totals(
+        "chains 1 <= w <= x <= y <= z <= {s.chain_max}", "rank4_total_ccl",
+        lambda s: [(c, c) for c in combinations_with_replacement(
+            range(1, s.chain_max + 1), 4)],
+        lambda c: closedforms.rank4_total_ccl(*c),
+        lambda c: closedforms.leading_term_ccl(*c), "chain %s"),
+    "closed-rank2": _closed(
+        "rank-2 types with parts <= {s.max_part}, every order index",
+        lambda s: _queries(_types(2, s.max_part, 2)),
+        lambda t, b: closedforms.rank2(t, b)),
+    "closed-rank3": _closed(
+        "rank-3 types with parts <= {s.max_part}, every order index",
+        lambda s: _queries(_types(3, s.max_part, 3)),
+        lambda t, b: closedforms.rank3(t, b)),
+    "closed-rank4-intervals": _closed(
+        "rank-4 types with parts <= {s.rank4_part}, covered order indexes",
+        lambda s: _queries(_types(4, s.rank4_part, 4)),
+        lambda t, b: closedforms.rank4_partial(t, b), partial=True),
+    "elementary-abelian": _over(
+        "elementary abelian types up to rank {s.elementary_rank}",
+        lambda s: _queries([(1,) * d for d in range(s.elementary_rank + 1)]),
+        lambda t, b: [Comparison("gaussian_binomial", (t, b),
+                                 oracle.gaussian_binomial(len(t), b),
+                                 count_hironaka(t, b))]),
+    "equal-parts-rank3": _closed(
+        "types (m, m, m) with m <= {s.max_part}",
+        lambda s: _queries([(m,) * 3 for m in range(1, s.max_part + 1)]),
+        lambda t, b: closedforms.rank3_mmm(t[0], b),
+        lambda t, b: closedforms.rank3(t, b)),
+    "equal-parts-rank4": _closed(
+        "types (m, m, m, m) with m <= {s.m4_max}, every order index",
+        lambda s: _queries([(m,) * 4 for m in range(1, s.m4_max + 1)]),
+        lambda t, b: closedforms.rank4_mmmm_b(t[0], b)),
+    "equal-parts-rank4-total": _totals(
+        "total counts of (m, m, m, m) with m <= {s.m4_max}", "rank4_mmmm_total",
+        lambda s: [(m, (m,) * 4) for m in range(1, s.m4_max + 1)],
+        lambda m: closedforms.rank4_mmmm_total(m), lambda m: (1, 4 * m), "m=%d"),
+    "nonnegative-coefficients": _over(
+        "ranks up to {s.max_rank} with parts <= {s.max_part}",
+        lambda s: _queries(_types(s.max_rank, s.max_part)),
+        lambda t, b: [Comparison("negative coefficients of count_hironaka", (t, b), [
+            c for c in count_hironaka(t, b).coeffs if c < 0], [])]),
+    "recurrence-pair": _over(
+        "ranks up to {s.max_rank} with parts <= {s.max_part}, order indexes -1..m+1",
+        lambda s: _queries(_types(s.max_rank, s.max_part), -1, 1),
+        lambda t, b: [Comparison("count_hironaka vs count_stehling", (t, b),
+                                 count_hironaka(t, b), count_stehling(t, b))]),
+    "series-full": _library(
+        "full rank-2 series at truncation (6, 6, 6)", "verify_F2 mismatches",
+        "truncation (6, 6, 6)", lambda: genfun.verify_F2(SERIES_BOUNDS)[:1]),
+    "series-split": _library(
+        "sub-series readings at truncation (6, 6, 6)", "verify_sub_series",
+        "truncation (6, 6, 6)", _series_split),
+    "series-staircase": _library(
+        "four-factor product series at truncation (6, 6, 6)",
+        "verify_g_product mismatches", "truncation (6, 6, 6)",
+        lambda: genfun.verify_g_product(SERIES_BOUNDS)[:1]),
+    "symmetry": _over(
+        "ranks up to {s.max_rank} with parts <= {s.max_part}",
+        lambda s: _queries(_types(s.max_rank, s.max_part)),
+        lambda t, b: [Comparison("count_hironaka vs its mirror m-b", (t, b),
+                                 count_hironaka(t, b), count_hironaka(t, sum(t) - b))]),
+}
+
+
+def run(name, scale):
+    """Run one entry up to its first mismatch; a crash is a failure, not an abort."""
+    entry = REGISTRY[name]
+    family = (entry.family(scale) if callable(entry.family)
+              else entry.family.format(s=scale))
+    records = []
+    counterexample = None
+    start = time.monotonic()
+    try:
+        for c in entry.compare(scale):
+            records.append(c)
+            if c.got != c.want:
+                counterexample = "%s at %s: got %s, want %s" % (
+                    c.route, entry.where(*c.query), c.got, c.want)
+                break
+    except Exception as exc:
+        counterexample = "%s: %s" % (type(exc).__name__, exc)
+    return Result(name, family, counterexample is None, counterexample, len(records),
+                  time.monotonic() - start, records)
+
+
+def run_all(scale):
+    """Every entry in name order, without the per-comparison records."""
+    return [run(name, scale)._replace(records=None) for name in sorted(REGISTRY)]

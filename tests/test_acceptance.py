@@ -1,25 +1,24 @@
 """Acceptance battery: twelve exact criteria with runtime budgets.
 
 Each test prints one pass/fail line (run with -s to see them on success).
+Criteria 1-5, 7-9 and 11 run entries of the verification registry at their
+own scales and assert the exact number of comparisons each makes.
 The census family in criterion 3 is capped by an exact cost estimate, and
 the whole family must finish inside the criterion's 60 s budget.
 """
 import itertools
 import time
 
-from subcount.cli import main, run_verify
+from subcount.cli import main
 from subcount.closedforms import (
-    LinForm, RANK3_TABLES, anyrank_case1, leading_term_ccl, rank2, rank3,
-    rank3_with_case, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
-    verify_case6_specializations,
+    LinForm, RANK3_TABLES, rank3, rank4_mmmm_total, verify_case6_specializations,
 )
 from subcount.genfun import verify_F2, verify_g_product, verify_sub_series
-from subcount.groups import GroupType, rank3_applicable_cases
-from subcount.oracle import (
-    gaussian_binomial, star_matrix_census, subgroup_census,
-)
+from subcount.groups import GroupType
+from subcount.oracle import DEFAULT_LIMIT, subgroup_census
 from subcount.polyring import ZERO
-from subcount.recurrence import count_hironaka, count_stehling, total_count
+from subcount.recurrence import count_hironaka, total_count
+from subcount.verify import Scale, run
 
 
 # census family: every type with group order <= 2^10 at p=2 and <= 3^7 at
@@ -30,18 +29,10 @@ CENSUS_WEIGHT_BOUND = {2: 10, 3: 7}
 CENSUS_COST_CAP = {2: 6_000_000, 3: 2_000_000}
 
 
-def _report(num, ok, detail=""):
-    line = "criterion %02d %s" % (num, "PASS" if ok else "FAIL")
-    if detail:
-        line += " " + detail
+def _report(num, ok, detail):
+    line = "criterion %02d %s %s" % (num, "PASS" if ok else "FAIL", detail)
     print(line)
     assert ok, line
-
-
-def _types(rank, max_part):
-    for parts in itertools.combinations_with_replacement(
-            range(1, max_part + 1), rank):
-        yield GroupType(parts)
 
 
 def _partitions_up_to(bound):
@@ -68,74 +59,55 @@ def census_family(cost_caps):
     return family
 
 
+def _run(name, compared, **bounds):
+    """Run a registry entry at the criterion's scale: it passes on every query."""
+    result = run(name, Scale.of(**bounds))
+    assert result.passed, result.counterexample
+    assert result.compared == compared, (name, result.compared)
+    return result
+
+
 def test_criterion_01_closed_forms_match_recurrence():
     start = time.monotonic()
-    queries = 0
-    rank3_cases = set()
-    for t in _types(2, 5):
-        for b in range(0, t.weight + 1):
-            res = rank2(t, b)
-            assert res.covered and res.value == count_hironaka(t, b), (t, b)
-            queries += 1
-    for t in _types(3, 5):
-        for b in range(0, t.weight + 1):
-            res = rank3(t, b)
-            assert res.covered and res.value == count_hironaka(t, b), (t, b)
-            rank3_cases.add(res.case.case)
-            queries += 1
+    rank2 = _run("closed-rank2", 105, max_part=5)
+    rank3 = _run("closed-rank3", 350, max_part=5)
     elapsed = time.monotonic() - start
-    all_cases = rank3_cases == set(range(1, 11))
+    all_cases = {c.route.case for c in rank3.records} == set(range(1, 11))
     _report(1, all_cases and elapsed < 10.0,
-            "(%d queries, all 10 rank-3 cases hit, %.1fs)" % (queries, elapsed))
+            "(%d queries, all 10 rank-3 cases hit, %.1fs)"
+            % (rank2.compared + rank3.compared, elapsed))
 
 
 def test_criterion_02_recurrences_agree():
+    # order indexes -1..m+1: a superset of the 629 pairs with 0 <= b <= m
     start = time.monotonic()
-    checked = 0
-    for rank in range(1, 5):
-        for t in _types(rank, 4):
-            for b in range(0, t.weight + 1):
-                assert count_hironaka(t, b) == count_stehling(t, b), (t, b)
-                checked += 1
+    result = _run("recurrence-pair", 629 + 2 * 69, max_rank=4, max_part=4)
     elapsed = time.monotonic() - start
-    _report(2, elapsed < 10.0, "(%d pairs, %.1fs)" % (checked, elapsed))
+    _report(2, elapsed < 10.0, "(%d pairs, %.1fs)" % (result.compared, elapsed))
 
 
 def test_criterion_03_census_agreement():
     family = census_family(CENSUS_COST_CAP)
+    star = [(t, p) for t, p in family if t.rank <= 3]
     start = time.monotonic()
-    closure_counts = {}
-    for t, p in family:
-        res = subgroup_census(t, p)
-        closure_counts[(t, p)] = res.counts
-        for b, got in enumerate(res.counts):
-            assert got == count_hironaka(t, b).eval_at(p), (t, p, b)
-    star_members = 0
-    for t, p in family:
-        if t.rank <= 3:
-            star = star_matrix_census(t, p)
-            assert star.counts == closure_counts[(t, p)], (t, p)
-            star_members += 1
+    # one comparison per order index of each member, against the recurrence at p
+    bounds = dict(oracle_limit=DEFAULT_LIMIT, census_pairs=family, star_pairs=star)
+    _run("census-closure", 1180, **bounds)
+    _run("census-star", 730, **bounds)
     elapsed = time.monotonic() - start
     _report(3, elapsed < 60.0,
             "(cover census, %d types, %d star cross-checks, %.1fs)"
-            % (len(family), star_members, elapsed))
+            % (len(family), len(star), elapsed))
 
 
 def test_criterion_04_symmetry():
-    for rank in (2, 3):
-        for t in _types(rank, 5):
-            m = t.weight
-            for b in range(0, m // 2 + 1):
-                assert count_hironaka(t, b) == count_hironaka(t, m - b), (t, b)
-    _report(4, True, "(ranks 2 and 3, parts <= 5)")
+    # ranks 1 to 3 with every b: a superset of ranks 2 and 3 with b <= m/2
+    _run("symmetry", 20 + 455, max_rank=3, max_part=5)
+    _report(4, True, "(ranks up to 3, parts <= 5)")
 
 
 def test_criterion_05_elementary_abelian():
-    for d in range(0, 7):
-        t = GroupType((1,) * d)
-        for b in range(0, d + 1):
-            assert count_hironaka(t, b) == gaussian_binomial(d, b), (d, b)
+    _run("elementary-abelian", 28)
     _report(5, True, "(d <= 6)")
 
 
@@ -155,51 +127,29 @@ def test_criterion_06_equal_parts_rank4_totals():
 
 
 def test_criterion_07_chain_totals():
-    for chain in itertools.combinations_with_replacement(range(1, 4), 4):
-        w, x, y, z = chain
-        closed = rank4_total_ccl(w, x, y, z)
-        assert closed == total_count(chain), chain
-        coeff, degree = leading_term_ccl(w, x, y, z)
-        assert closed.degree() == degree, chain
-        assert closed.leading_coeff() == coeff, chain
+    # each chain compares its total, degree, leading coefficient and signs
+    _run("chain-totals", 15 * 4, chain_max=3)
     _report(7, True, "(15 chains, leading terms included)")
 
 
 def test_criterion_08_rank4_interval_formulas():
-    covered = 0
-    reflected = 0
-    for t in _types(4, 4):
-        a1, a2, a3, _ = t.parts
-        m = t.weight
-        for b in range(0, m + 1):
-            res = rank4_partial(t, b)
-            if not res.covered:
-                continue
-            assert res.value == count_hironaka(t, b), (t, b)
-            covered += 1
-            direct = (0 <= b <= a1 or a1 <= b <= a2
-                      or a2 <= b <= min(a3, a1 + a2))
-            if not direct:
-                reflected += 1
-    ok = covered > 0 and reflected > 0
-    _report(8, ok, "(%d covered queries, %d via reflection)"
-            % (covered, reflected))
+    result = _run("closed-rank4-intervals", 256, max_part=4)
+    # the direct intervals cover 0 <= b <= min(a3, a1 + a2); the rest is mirrored
+    queries = [c.query for c in result.records]
+    reflected = sum(b > min(t[2], t[0] + t[1]) for t, b in queries)
+    _report(8, reflected > 0, "(%d covered queries, %d via reflection)"
+            % (result.compared, reflected))
 
 
 def test_criterion_09_anyrank_product():
-    checked = 0
-    for rank in range(2, 7):
-        for t in _types(rank, 3):
-            a1, m = t.parts[0], t.weight
-            for b in range(0, a1 + 1):
-                res = anyrank_case1(t, b)
-                assert res.covered and res.value == count_hironaka(t, b), (t, b)
-                checked += 1
-            for b in range(m - a1, m + 1):
-                res = anyrank_case1(t, b)
-                assert res.covered and res.value == count_hironaka(t, b), (t, b)
-                checked += 1
-    _report(9, True, "(ranks 2..6, %d queries)" % checked)
+    # covered exactly on the criterion's b-ranges: b <= a1 and b >= m - a1
+    result = _run("any-rank-product", 377, max_rank=6, max_part=3)
+    types = [t for rank in range(2, 7)
+             for t in itertools.combinations_with_replacement(range(1, 4), rank)]
+    assert {c.query for c in result.records} == {
+        (t, b) for t in types for b in range(sum(t) + 1)
+        if b <= t[0] or b >= sum(t) - t[0]}
+    _report(9, True, "(ranks 2..6, %d queries)" % result.compared)
 
 
 def test_criterion_10_generating_functions():
@@ -220,16 +170,10 @@ def test_criterion_10_generating_functions():
 
 
 def test_criterion_11_boundary_agreement():
-    overlaps = 0
-    for t in _types(3, 5):
-        for b in range(0, t.weight + 1):
-            cases = rank3_applicable_cases(t, b)
-            if len(cases) < 2:
-                continue
-            values = {rank3_with_case(t, b, k).value for k in cases}
-            assert len(values) == 1, (t, b, cases)
-            overlaps += 1
-    _report(11, overlaps > 0, "(%d overlapping queries)" % overlaps)
+    # one comparison per extra case of each of the 107 overlapping queries
+    result = _run("boundary-agreement", 134, max_part=5)
+    overlaps = len({c.query for c in result.records})
+    _report(11, overlaps == 107, "(%d overlapping queries)" % overlaps)
 
 
 def test_criterion_12_negative_control(capsys):

@@ -7,10 +7,14 @@ import time
 
 import pytest
 
+from subcount import closedforms, verify
 from subcount.cli import main, resolve_closed, run_verify
 from subcount.groups import GroupType
-from subcount.polyring import ZERO
+from subcount.polyring import ONE, ZERO
 from subcount.recurrence import count_hironaka
+
+SMALL_BATTERY = ("verify", "--max-rank", "3", "--max-part", "2",
+                 "--primes", "2", "--oracle-limit", "64")
 
 
 def run(capsys, *argv):
@@ -190,6 +194,42 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_every_check_compares(self, capsys):
+        code, out, _ = run(capsys, *SMALL_BATTERY, "--json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == len(verify.REGISTRY)
+        assert all(c["compared"] > 0 for c in checks), checks
+
+    def test_crash_keeps_family(self, capsys, monkeypatch):
+        def broken(t, b):
+            raise ZeroDivisionError("broken route")
+
+        monkeypatch.setattr(closedforms, "rank2", broken)
+        code, out, _ = run(capsys, *SMALL_BATTERY, "--json")
+        assert code == 1
+        record = {c["check"]: c for c in json.loads(out)["checks"]}["closed-rank2"]
+        assert record["passed"] is False
+        assert record["family"] == "rank-2 types with parts <= 2, every order index"
+        assert record["counterexample"] == "ZeroDivisionError: broken route"
+
+    def test_counterexample_names_the_disagreeing_route(self, monkeypatch):
+        general = closedforms.rank3
+
+        def perturbed(t, b):
+            res = general(t, b)
+            if tuple(t) == (2, 2, 2) and b == 3:
+                res = closedforms.FormulaResult(res.value + ONE, res.case, True)
+            return res
+
+        monkeypatch.setattr(closedforms, "rank3", perturbed)
+        result = verify.run("equal-parts-rank3", verify.Scale.of(max_part=2))
+        want = count_hironaka((2, 2, 2), 3)
+        assert not result.passed
+        # rank3_mmm agrees at this query, so the general route is the one named
+        assert result.counterexample == "%s at type (2, 2, 2) b=3: got %s, want %s" % (
+            general((2, 2, 2), 3).case, (want + ONE).text(), want.text())
+
     def test_run_verify_shape(self):
         report = run_verify(max_rank=2, max_part=2, primes=(2,), oracle_limit=16)
         assert report.passed
@@ -209,6 +249,19 @@ class TestToth:
         assert lines[2] == "chains up to 2: 5 checked, all match"
         assert lines[3] == "m=1 total at p=2: 67"
 
+    def test_mismatch_marks_entry(self, capsys, monkeypatch):
+        closed = closedforms.rank4_mmmm_total
+        monkeypatch.setattr(closedforms, "rank4_mmmm_total",
+                            lambda m: closed(m) + ONE if m == 2 else closed(m))
+        code, out, err = run(capsys, "toth", "--m-max", "2", "--chain-max", "1")
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "equal parts m=1: degree 4, leading 1, matches recurrence: yes",
+            "equal parts m=2: degree 8, leading 1, matches recurrence: NO",
+            "chains up to 1: 1 checked, all match",
+        ]
+        assert "FAIL equal-parts-rank4-total: rank4_mmmm_total at m=2" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "toth", "--m-max", "1", "--chain-max", "1", "--json")
         assert code == 0
@@ -216,6 +269,29 @@ class TestToth:
         assert data["passed"] is True
         assert data["equal_parts"][0]["total_at_2"] == 67
         assert data["chains"]["count"] == 1
+
+
+BAD_INPUT = [
+    ("verify", "--primes", "4"),
+    ("verify", "--primes", ","),
+    ("verify", "--max-rank", "0"),
+    ("verify", "--max-part", "0"),
+    ("verify", "--oracle-limit", "0"),
+    ("toth", "--m-max", "0"),
+    ("toth", "--chain-max", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_before_any_check(capsys, monkeypatch, argv):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run", no_check)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
 
 
 class TestResolveClosed:
