@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from subcount import closedforms, verify
+from subcount import closedforms, genfun, verify
 from subcount.cli import main, resolve_closed, run_verify
 from subcount.groups import GroupType
 from subcount.polyring import ONE, ZERO
@@ -200,6 +200,26 @@ class TestVerify:
         checks = json.loads(out)["checks"]
         assert len(checks) == len(verify.REGISTRY)
         assert all(c["compared"] > 0 for c in checks), checks
+
+    def test_empty_family_fails(self, capsys):
+        # no (type, prime) pair has order <= 1, so the census checks compare nothing
+        code, out, _ = run(capsys, "verify", "--max-rank", "1", "--max-part", "1",
+                           "--primes", "2", "--oracle-limit", "1")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL census-closure: no comparison made: the family is empty" in lines
+        assert "FAIL census-star: no comparison made: the family is empty" in lines
+
+    def test_series_texts_follow_bounds(self, monkeypatch):
+        monkeypatch.setattr(verify, "SERIES_BOUNDS", (4, 4, 4))
+        for name in ("series-full", "series-split", "series-staircase"):
+            result = verify.run(name, verify.Scale.of())
+            assert result.passed, result.counterexample
+            assert result.family.endswith(" at truncation (4, 4, 4)"), result.family
+        monkeypatch.setattr(genfun, "verify_F2", lambda bounds: [list(bounds)])
+        result = verify.run("series-full", verify.Scale.of())
+        assert result.counterexample.startswith(
+            "verify_F2 mismatches at truncation (4, 4, 4): got [[4, 4, 4]]")
 
     def test_crash_keeps_family(self, capsys, monkeypatch):
         def broken(t, b):
