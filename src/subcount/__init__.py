@@ -1,10 +1,12 @@
 """Exact subgroup counts of finite abelian p-groups as polynomials in p."""
 
 from .closedforms import (
+    CaseId,
     FormulaBug,
     FormulaResult,
     OrderViolation,
     anyrank_case1,
+    classify_rank3,
     leading_term_ccl,
     rank2,
     rank3,
@@ -16,14 +18,12 @@ from .closedforms import (
 )
 from .genfun import MultiSeries, expand_rational, verify_F2, verify_g_product, verify_sub_series
 from .groups import (
-    CaseId,
     CountQuery,
     GroupType,
     NegativePart,
     OutOfRange,
     RankMismatch,
     canonicalize,
-    classify_rank3,
     symmetry_partner,
 )
 from .oracle import (

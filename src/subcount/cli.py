@@ -128,13 +128,11 @@ def cmd_count(args):
     else:
         result = resolve_closed(t, b) if method != "recurrence" else None
         if result is not None and result.covered:
-            poly = result.value
-            case = result.case
+            poly, case, used = result.value, result.case, "closed"
         elif method == "closed":
             return _error("no closed form covers type %s b=%d" % (t, b))
         else:
-            poly = count_hironaka(t, b)
-        used = "closed" if case is not None else "recurrence"
+            poly, used = count_hironaka(t, b), "recurrence"
         if args.prime is not None:
             value = poly.eval_at(args.prime)
     if args.json:
@@ -207,10 +205,9 @@ def cmd_verify(args):
 
 def _by_query(result):
     """Each query's comparisons of a registry run, with whether each one held."""
-    failed = None if result.passed else result.records[-1]
     for query, group in groupby(result.records, key=lambda c: c.query):
         group = list(group)
-        yield query, group, [c is not failed for c in group]
+        yield query, group, [c.got == c.want for c in group]
 
 
 def cmd_toth(args):

@@ -1,13 +1,18 @@
-"""Closed-form subgroup counts.
+"""Closed-form subgroup counts and their case catalogs.
 
 Each closed form is stored as a table of (coefficient, exponent) pairs, both
-integer-linear expressions in the type parts and the order index b.  A table
-is assembled into a numerator polynomial and divided exactly by the standard
-denominator prod(p**i - 1); a division remainder means a table is wrong, and
-the error says which case.
+integer-linear expressions in a1, a2, a3 (the three smallest parts, 0 past
+the rank) and the order index b; on the equal-part types (m, m, m) and
+(m, m, m, m) the tables read a1 = m.  ``CATALOGS`` holds each family's tables
+under its tag, and one evaluator serves them all: it assembles a table into a
+numerator polynomial and divides it exactly by the standard denominator
+prod_{i<rank} (p**i - 1).  A division remainder means a table is wrong, and
+the error says which case.  The classifiers that pick a case live here too.
 """
 
-from .groups import CaseId, GroupType, OutOfRange, RankMismatch, classify_rank3
+from functools import cache
+
+from .groups import GroupType, OutOfRange, RankMismatch
 from .polyring import ONE, IntPoly, NonExactDivision
 
 
@@ -47,14 +52,42 @@ class FormulaResult:
         return "FormulaResult(%r, %r, %r)" % (self.value, self.case, self.covered)
 
 
-class LinForm:
-    """Integer-linear expression in the table variables plus a constant."""
+class CaseId:
+    """Which closed-form case produced a value."""
 
-    VARS = ("a1", "a2", "a3", "b", "m")
+    __slots__ = ("family", "case")
+
+    def __init__(self, family, case):
+        if family not in CASE_RANGES:
+            raise ValueError("unknown family tag %r" % (family,))
+        if not 1 <= case <= CASE_RANGES[family]:
+            raise ValueError("case %d out of range for %s" % (case, family))
+        self.family = family
+        self.case = case
+
+    def __eq__(self, other):
+        if isinstance(other, CaseId):
+            return (self.family, self.case) == (other.family, other.case)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("CaseId", self.family, self.case))
+
+    def __repr__(self):
+        return "CaseId(%r, %r)" % (self.family, self.case)
+
+    def __str__(self):
+        return "%s Case %d" % (self.family, self.case)
+
+
+class LinForm:
+    """Integer-linear expression in a1, a2, a3 and b, plus a constant."""
+
+    VARS = ("a1", "a2", "a3", "b")
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs=(0, 0, 0, 0, 0), const=0):
+    def __init__(self, coeffs=(0, 0, 0, 0), const=0):
         self.coeffs = tuple(coeffs)
         self.const = const
 
@@ -109,6 +142,8 @@ class LinForm:
 L = LinForm.of
 
 
+# every table evaluation divides by one of a few of these; IntPoly is immutable
+@cache
 def standard_denominator(k):
     """prod_{i=1}^{k} (p**i - 1)."""
     den = ONE
@@ -148,11 +183,46 @@ def assemble_table(table, env):
     return acc
 
 
-def _divide(numerator, k, case):
+def _divide(numerator, denominator, case):
     try:
-        return numerator.exact_div(standard_denominator(k))
+        return numerator.exact_div(denominator)
     except NonExactDivision as exc:
         raise FormulaBug(case, exc.remainder) from exc
+
+
+def _evaluate(family, case_no, parts, b):
+    """Case case_no of a family's catalog at the ascending parts and b."""
+    case = CaseId(family, case_no)
+    a1, a2, a3 = (*parts, 0, 0)[:3]
+    numerator = assemble_table(CATALOGS[family][case_no],
+                               {"a1": a1, "a2": a2, "a3": a3, "b": b})
+    return FormulaResult(
+        _divide(numerator, standard_denominator(len(parts) - 1), case), case, True)
+
+
+def _of_rank(t, rank):
+    """The parts of t, which must have the given rank."""
+    t = GroupType(t)
+    if t.rank != rank:
+        raise RankMismatch("expected a rank-%d type, got rank %d" % (rank, t.rank))
+    return t.parts
+
+
+def _check_b(b, m):
+    if not 0 <= b <= m:
+        raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
+
+
+def _check_m(m):
+    if m < 1:
+        raise ValueError("m must be at least 1, got %d" % m)
+
+
+def _equal_part_case(m, b, rank):
+    """Case k of the type (m,) * rank covers (k - 1)m < b <= km; case 1 also b = 0."""
+    _check_m(m)
+    _check_b(b, rank * m)
+    return max(1, -(-b // m))
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +239,14 @@ RANK2_TABLES = {
 
 def classify_rank2(t, b):
     """Pick the rank-2 case for (t, b); ties go to the lowest case number."""
-    t = GroupType(t)
-    if t.rank != 2:
-        raise RankMismatch("expected a rank-2 type, got rank %d" % t.rank)
-    a1, a2 = t.parts
-    if not 0 <= b <= a1 + a2:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (a1 + a2, b))
-    if b <= a1:
-        return CaseId("rank2", 1)
-    if b <= a2:
-        return CaseId("rank2", 2)
-    return CaseId("rank2", 3)
+    a1, a2 = _of_rank(t, 2)
+    _check_b(b, a1 + a2)
+    return CaseId("rank2", 1 if b <= a1 else 2 if b <= a2 else 3)
 
 
 def rank2(t, b):
     """Closed-form count for a rank-2 type; covers every b in [0, m]."""
-    t = GroupType(t)
-    case = classify_rank2(t, b)
-    a1, a2 = t.parts
-    env = {"a1": a1, "a2": a2, "a3": 0, "b": b, "m": a1 + a2}
-    numerator = assemble_table(RANK2_TABLES[case.case], env)
-    return FormulaResult(_divide(numerator, 1, case), case, True)
+    return _evaluate("rank2", classify_rank2(t, b).case, GroupType(t).parts, b)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +307,38 @@ RANK3_TABLES[9] = substitute_table(RANK3_TABLES[2], _REFLECT_B)
 RANK3_TABLES[10] = substitute_table(RANK3_TABLES[1], _REFLECT_B)
 
 
+def rank3_applicable_cases(t, b):
+    """All rank-3 case numbers whose interval admits (t, b), ascending."""
+    a1, a2, a3 = _of_rank(t, 3)
+    m = a1 + a2 + a3
+    _check_b(b, m)
+    conds = (
+        (1, 0 <= b <= a1),
+        (2, a1 <= b <= a2),
+        (3, a2 < b <= a3 <= a1 + a2),
+        (4, a2 < b <= a1 + a2 <= a3),
+        (5, a1 + a2 <= b <= a3),
+        (6, a3 < b <= a1 + a2),
+        (7, a1 + a2 <= a3 < b <= a1 + a3),
+        (8, a3 <= a1 + a2 < b <= a1 + a3),
+        (9, a1 + a3 <= b <= a2 + a3),
+        (10, a2 + a3 <= b <= m),
+    )
+    return [k for k, ok in conds if ok]
+
+
+def classify_rank3(t, b):
+    """Pick the rank-3 case for (t, b); ties go to the lowest case number."""
+    cases = rank3_applicable_cases(t, b)
+    if not cases:
+        # the ten intervals cover every b in [0, m]; reaching this is a bug
+        raise RuntimeError("no rank-3 case covers %s b=%d" % (GroupType(t), b))
+    return CaseId("rank3", cases[0])
+
+
 def rank3(t, b):
     """Closed-form count for a rank-3 type; covers every b in [0, m]."""
-    t = GroupType(t)
-    case = classify_rank3(t, b)
-    return rank3_with_case(t, b, case.case)
+    return rank3_with_case(t, b, classify_rank3(t, b).case)
 
 
 def rank3_with_case(t, b, case_no):
@@ -263,14 +347,7 @@ def rank3_with_case(t, b, case_no):
     The caller is responsible for picking a case whose interval admits
     (t, b); boundary tests use this to compare overlapping cases.
     """
-    t = GroupType(t)
-    if t.rank != 3:
-        raise RankMismatch("expected a rank-3 type, got rank %d" % t.rank)
-    case = CaseId("rank3", case_no)
-    a1, a2, a3 = t.parts
-    env = {"a1": a1, "a2": a2, "a3": a3, "b": b, "m": a1 + a2 + a3}
-    numerator = assemble_table(RANK3_TABLES[case_no], env)
-    return FormulaResult(_divide(numerator, 2, case), case, True)
+    return _evaluate("rank3", case_no, _of_rank(t, 3), b)
 
 
 # substitutions that specialize the case-6 table to each other case
@@ -309,41 +386,29 @@ def verify_case6_specializations():
 
 MMM_TABLES = {
     2: (
-        (L(1), L(3, m=2)),
-        (L(1), L(2, m=2)),
-        (L(1), L(1, m=2)),
-        (L(-1), L(2, m=3, b=-1)),
-        (L(-1), L(1, m=3, b=-1)),
+        (L(1), L(3, a1=2)),
+        (L(1), L(2, a1=2)),
+        (L(1), L(1, a1=2)),
+        (L(-1), L(2, a1=3, b=-1)),
+        (L(-1), L(1, a1=3, b=-1)),
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
     ),
     3: (
-        (L(1), L(3, m=6, b=-2)),
-        (L(-1), L(2, m=3, b=-1)),
-        (L(-1), L(1, m=3, b=-1)),
+        (L(1), L(3, a1=6, b=-2)),
+        (L(-1), L(2, a1=3, b=-1)),
+        (L(-1), L(1, a1=3, b=-1)),
         (L(1), L()),
     ),
 }
-# b <= m is rank-3 case 1 (b <= a1) at a1 = m
+# b <= m is rank-3 case 1 (b <= a1)
 MMM_TABLES[1] = RANK3_TABLES[1]
 
 
 def rank3_mmm(m, b):
     """Closed-form count for the type (m, m, m)."""
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
-    if not 0 <= b <= 3 * m:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (3 * m, b))
-    if b <= m:
-        case = CaseId("rank3-mmm", 1)
-    elif b <= 2 * m:
-        case = CaseId("rank3-mmm", 2)
-    else:
-        case = CaseId("rank3-mmm", 3)
-    env = {"a1": m, "a2": m, "a3": m, "b": b, "m": m}
-    numerator = assemble_table(MMM_TABLES[case.case], env)
-    return FormulaResult(_divide(numerator, 2, case), case, True)
+    return _evaluate("rank3-mmm", _equal_part_case(m, b, 3), (m,) * 3, b)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +465,9 @@ RANK4_PARTIAL_TABLES = {
 }
 
 
-def _rank4_interval_case(a1, a2, a3, b):
+def _rank4_interval_case(parts, b):
     """Which low-order interval covers b, or None."""
+    a1, a2, a3, _ = parts
     if 0 <= b <= a1:
         return 1
     if a1 <= b <= a2:
@@ -413,23 +479,16 @@ def _rank4_interval_case(a1, a2, a3, b):
 
 def rank4_partial(t, b):
     """Interval closed forms for rank 4; covered is False off the catalog."""
-    t = GroupType(t)
-    if t.rank != 4:
-        raise RankMismatch("expected a rank-4 type, got rank %d" % t.rank)
-    a1, a2, a3, a4 = t.parts
-    m = t.weight
-    case_no = _rank4_interval_case(a1, a2, a3, b)
-    use_b = b
+    parts = _of_rank(t, 4)
+    m = sum(parts)
+    case_no = _rank4_interval_case(parts, b)
     if case_no is None and 0 <= b <= m:
         # count symmetry lets the same intervals serve the mirrored index
-        case_no = _rank4_interval_case(a1, a2, a3, m - b)
-        use_b = m - b
+        b = m - b
+        case_no = _rank4_interval_case(parts, b)
     if case_no is None:
         return FormulaResult.miss()
-    case = CaseId("rank4-partial", case_no)
-    env = {"a1": a1, "a2": a2, "a3": a3, "b": use_b, "m": m}
-    numerator = assemble_table(RANK4_PARTIAL_TABLES[case_no], env)
-    return FormulaResult(_divide(numerator, 3, case), case, True)
+    return _evaluate("rank4-partial", case_no, parts, b)
 
 
 # ---------------------------------------------------------------------------
@@ -441,85 +500,81 @@ MMMM_TABLES = {
         (L(-1), L(5, b=2)),
         (L(-1), L(4, b=2)),
         (L(-1), L(3, b=2)),
-        (L(1), L(6, m=2, b=1)),
-        (L(1), L(5, m=2, b=1)),
-        (L(2), L(4, m=2, b=1)),
-        (L(1), L(3, m=2, b=1)),
-        (L(1), L(2, m=2, b=1)),
+        (L(1), L(6, a1=2, b=1)),
+        (L(1), L(5, a1=2, b=1)),
+        (L(2), L(4, a1=2, b=1)),
+        (L(1), L(3, a1=2, b=1)),
+        (L(1), L(2, a1=2, b=1)),
         (L(1), L(3, b=1)),
         (L(1), L(2, b=1)),
         (L(1), L(1, b=1)),
-        (L(-1), L(5, m=3)),
-        (L(-2), L(4, m=3)),
-        (L(-2), L(3, m=3)),
-        (L(-2), L(2, m=3)),
-        (L(-1), L(1, m=3)),
+        (L(-1), L(5, a1=3)),
+        (L(-2), L(4, a1=3)),
+        (L(-2), L(3, a1=3)),
+        (L(-2), L(2, a1=3)),
+        (L(-1), L(1, a1=3)),
         (L(-1), L()),
-        (L(1), L(3, m=4, b=-1)),
-        (L(1), L(2, m=4, b=-1)),
-        (L(1), L(1, m=4, b=-1)),
+        (L(1), L(3, a1=4, b=-1)),
+        (L(1), L(2, a1=4, b=-1)),
+        (L(1), L(1, a1=4, b=-1)),
     ),
     3: (
         (L(1), L(3, b=1)),
         (L(1), L(2, b=1)),
         (L(1), L(1, b=1)),
-        (L(1), L(6, m=6, b=-1)),
-        (L(1), L(5, m=6, b=-1)),
-        (L(2), L(4, m=6, b=-1)),
-        (L(1), L(3, m=6, b=-1)),
-        (L(1), L(2, m=6, b=-1)),
-        (L(1), L(3, m=4, b=-1)),
-        (L(1), L(2, m=4, b=-1)),
-        (L(1), L(1, m=4, b=-1)),
-        (L(-1), L(5, m=8, b=-2)),
-        (L(-1), L(4, m=8, b=-2)),
-        (L(-1), L(3, m=8, b=-2)),
-        (L(-1), L(5, m=3)),
-        (L(-2), L(4, m=3)),
-        (L(-2), L(3, m=3)),
-        (L(-2), L(2, m=3)),
-        (L(-1), L(1, m=3)),
+        (L(1), L(6, a1=6, b=-1)),
+        (L(1), L(5, a1=6, b=-1)),
+        (L(2), L(4, a1=6, b=-1)),
+        (L(1), L(3, a1=6, b=-1)),
+        (L(1), L(2, a1=6, b=-1)),
+        (L(1), L(3, a1=4, b=-1)),
+        (L(1), L(2, a1=4, b=-1)),
+        (L(1), L(1, a1=4, b=-1)),
+        (L(-1), L(5, a1=8, b=-2)),
+        (L(-1), L(4, a1=8, b=-2)),
+        (L(-1), L(3, a1=8, b=-2)),
+        (L(-1), L(5, a1=3)),
+        (L(-2), L(4, a1=3)),
+        (L(-2), L(3, a1=3)),
+        (L(-2), L(2, a1=3)),
+        (L(-1), L(1, a1=3)),
         (L(-1), L()),
     ),
     4: (
-        (L(1), L(3, m=4, b=-1)),
-        (L(1), L(2, m=4, b=-1)),
-        (L(1), L(1, m=4, b=-1)),
-        (L(-1), L(5, m=8, b=-2)),
-        (L(-1), L(4, m=8, b=-2)),
-        (L(-1), L(3, m=8, b=-2)),
-        (L(1), L(6, m=12, b=-3)),
+        (L(1), L(3, a1=4, b=-1)),
+        (L(1), L(2, a1=4, b=-1)),
+        (L(1), L(1, a1=4, b=-1)),
+        (L(-1), L(5, a1=8, b=-2)),
+        (L(-1), L(4, a1=8, b=-2)),
+        (L(-1), L(3, a1=8, b=-2)),
+        (L(1), L(6, a1=12, b=-3)),
         (L(-1), L()),
     ),
 }
-# b <= m is rank-4 partial case 1 (b <= a1) at a1 = m
+# b <= m is rank-4 partial case 1 (b <= a1)
 MMMM_TABLES[1] = RANK4_PARTIAL_TABLES[1]
+
+# family tag -> case number -> table
+CATALOGS = {
+    "rank2": RANK2_TABLES,
+    "rank3": RANK3_TABLES,
+    "rank3-mmm": MMM_TABLES,
+    "rank4-partial": RANK4_PARTIAL_TABLES,
+    "rank4-mmmm": MMMM_TABLES,
+}
+# family tag -> highest case number; the any-rank product formula has no table
+CASE_RANGES = {**{family: len(tables) for family, tables in CATALOGS.items()},
+               "anyrank": 2}
 
 
 def rank4_mmmm_b(m, b):
     """Closed-form count for the type (m, m, m, m) at order index b."""
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
-    if not 0 <= b <= 4 * m:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (4 * m, b))
-    if b <= m:
-        case_no = 1
-    elif b <= 2 * m:
-        case_no = 2
-    elif b <= 3 * m:
-        case_no = 3
-    else:
-        case_no = 4
-    case = CaseId("rank4-mmmm", case_no)
-    env = {"a1": m, "a2": m, "a3": m, "b": b, "m": m}
-    numerator = assemble_table(MMMM_TABLES[case_no], env)
-    return FormulaResult(_divide(numerator, 3, case), case, True)
+    return _evaluate("rank4-mmmm", _equal_part_case(m, b, 4), (m,) * 4, b)
 
 
 def rank4_mmmm_total(m):
     """Total subgroup count of the type (m, m, m, m) from its closed form."""
-    if m < 1:
-        raise ValueError("m must be at least 1, got %d" % m)
+    _check_m(m)
     p2 = IntPoly.term(1, 2)
     p3 = IntPoly.term(1, 3)
     head = (IntPoly((1, 1, 1)) ** 3) * (p2 + 1) * IntPoly.term(1, 4 * m + 2)
@@ -535,12 +590,7 @@ def rank4_mmmm_total(m):
         4 * m + 9,
         4 * m + 7,
     ))
-    numerator = head - mid - tail
-    denominator = (p2 - 1) ** 2 * (p3 - 1) ** 2
-    try:
-        return numerator.exact_div(denominator)
-    except NonExactDivision as exc:
-        raise FormulaBug("rank4-mmmm total", exc.remainder) from exc
+    return _divide(head - mid - tail, (p2 - 1) ** 2 * (p3 - 1) ** 2, "rank4-mmmm total")
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +639,16 @@ def anyrank_case1(t, b):
     """Product formula valid for b below the smallest part (or mirrored)."""
     t = GroupType(t)
     m = t.weight
-    if not 0 <= b <= m:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
+    _check_b(b, m)
     a1 = t.parts[0] if t.parts else 0
     if b <= a1:
         case = CaseId("anyrank", 1)
-        use_b = b
     elif b >= m - a1:
-        case = CaseId("anyrank", 2)
-        use_b = m - b
+        case, b = CaseId("anyrank", 2), m - b
     else:
         return FormulaResult.miss()
     value = ONE
     for i in range(2, t.rank + 1):
-        value = value * (IntPoly.term(1, use_b + i - 1) - 1)
-        try:
-            value = value.exact_div(IntPoly.term(1, i - 1) - 1)
-        except NonExactDivision as exc:
-            raise FormulaBug(case, exc.remainder) from exc
+        value = _divide(value * (IntPoly.term(1, b + i - 1) - 1),
+                        IntPoly.term(1, i - 1) - 1, case)
     return FormulaResult(value, case, True)

@@ -1,4 +1,4 @@
-"""Finite abelian p-group types and the rank-3 case classifier.
+"""Finite abelian p-group types and subgroup-order queries.
 
 A type is the multiset of exponents (a_1, ..., a_d): the group is the direct
 sum of cyclic factors of order p**a_i.  Types are stored ascending; zero parts
@@ -110,78 +110,6 @@ class CountQuery:
 
     def __repr__(self):
         return "CountQuery(%r, %r)" % (self.group_type, self.b)
-
-
-# family tag -> highest case number
-CASE_RANGES = {
-    "rank2": 3,
-    "rank3": 10,
-    "rank3-mmm": 3,
-    "rank4-partial": 3,
-    "rank4-mmmm": 4,
-    "anyrank": 2,
-}
-
-
-class CaseId:
-    """Which closed-form case produced a value."""
-
-    __slots__ = ("family", "case")
-
-    def __init__(self, family, case):
-        if family not in CASE_RANGES:
-            raise ValueError("unknown family tag %r" % (family,))
-        if not 1 <= case <= CASE_RANGES[family]:
-            raise ValueError("case %d out of range for %s" % (case, family))
-        self.family = family
-        self.case = case
-
-    def __eq__(self, other):
-        if isinstance(other, CaseId):
-            return (self.family, self.case) == (other.family, other.case)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("CaseId", self.family, self.case))
-
-    def __repr__(self):
-        return "CaseId(%r, %r)" % (self.family, self.case)
-
-    def __str__(self):
-        return "%s Case %d" % (self.family, self.case)
-
-
-def rank3_applicable_cases(t, b):
-    """All rank-3 case numbers whose interval admits (t, b), ascending."""
-    t = GroupType(t)
-    if t.rank != 3:
-        raise RankMismatch("expected a rank-3 type, got rank %d" % t.rank)
-    a1, a2, a3 = t.parts
-    m = a1 + a2 + a3
-    if not 0 <= b <= m:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
-    conds = (
-        (1, 0 <= b <= a1),
-        (2, a1 <= b <= a2),
-        (3, a2 < b <= a3 <= a1 + a2),
-        (4, a2 < b <= a1 + a2 <= a3),
-        (5, a1 + a2 <= b <= a3),
-        (6, a3 < b <= a1 + a2),
-        (7, a1 + a2 <= a3 < b <= a1 + a3),
-        (8, a3 <= a1 + a2 < b <= a1 + a3),
-        (9, a1 + a3 <= b <= a2 + a3),
-        (10, a2 + a3 <= b <= m),
-    )
-    return [k for k, ok in conds if ok]
-
-
-def classify_rank3(t, b):
-    """Pick the rank-3 case for (t, b); ties go to the lowest case number."""
-    cases = rank3_applicable_cases(t, b)
-    if not cases:
-        # the ten intervals cover every b in [0, m]; reaching this is a bug
-        raise RuntimeError("no rank-3 case covers %s b=%d" % (GroupType(t), b))
-    return CaseId("rank3", cases[0])
 
 
 def symmetry_partner(t, b):

@@ -11,7 +11,8 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from . import closedforms, genfun, oracle
-from .groups import CaseId, GroupType, rank3_applicable_cases
+from .closedforms import CaseId, rank3_applicable_cases
+from .groups import GroupType
 from .recurrence import count_hironaka, count_stehling, total_count
 
 SERIES_BOUNDS = (6, 6, 6)

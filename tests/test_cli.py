@@ -1,11 +1,14 @@
 """Command-line front end: exact output, exit codes, determinism."""
+import io
 import json
 import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcount import closedforms, genfun, verify
 from subcount.cli import main, resolve_closed, run_verify
@@ -116,6 +119,17 @@ class TestCount:
             "prime": None,
             "value": None,
         }
+
+    def test_json_method_names_the_route_that_answered(self, capsys):
+        # resolve_closed answers a b past the weight, unless the recurrence is asked
+        for method, used in (("closed", "closed"), ("auto", "closed"),
+                             ("recurrence", "recurrence")):
+            code, out, _ = run(capsys, "count", "--type", "1,1", "--b", "5",
+                               "--method", method, "--json")
+            assert code == 0
+            assert json.loads(out) == {"type": [1, 1], "b": 5, "method": used,
+                                       "case": None, "poly": [], "prime": None,
+                                       "value": None}
 
     def test_json_deterministic(self, capsys):
         _, first, _ = run(capsys, "count", "--type", "1,2,3", "--b", "2", "--json")
@@ -282,6 +296,34 @@ class TestToth:
         ]
         assert "FAIL equal-parts-rank4-total: rank4_mmmm_total at m=2" in err
 
+    def test_crash_before_first_comparison(self, capsys, monkeypatch):
+        def broken(m):
+            raise ZeroDivisionError("broken total")
+
+        monkeypatch.setattr(closedforms, "rank4_mmmm_total", broken)
+        code, out, err = run(capsys, "toth", "--m-max", "1", "--chain-max", "1")
+        assert code == 1
+        assert out.splitlines() == ["chains up to 1: 1 checked, all match"]
+        assert "FAIL equal-parts-rank4-total: ZeroDivisionError: broken total" in err
+
+    def test_crash_keeps_earlier_matches(self, capsys, monkeypatch):
+        closed = closedforms.rank4_mmmm_total
+
+        def broken(m):
+            if m == 2:
+                raise ZeroDivisionError("broken total")
+            return closed(m)
+
+        monkeypatch.setattr(closedforms, "rank4_mmmm_total", broken)
+        code, out, err = run(capsys, "toth", "--m-max", "2", "--chain-max", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "equal parts m=1: degree 4, leading 1, matches recurrence: yes",
+            "chains up to 1: 1 checked, all match",
+            "m=1 total at p=2: 67",
+        ]
+        assert "FAIL equal-parts-rank4-total: ZeroDivisionError: broken total" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "toth", "--m-max", "1", "--chain-max", "1", "--json")
         assert code == 0
@@ -312,6 +354,69 @@ def test_bad_input_exits_2_before_any_check(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+BAD_TOKENS = ("x", "", " ", "1.5", "2x", "-", "1e3")
+
+
+@st.composite
+def count_or_table_argv(draw):
+    """argv of count or table with boundary types, order indexes and options."""
+    command = draw(st.sampled_from(("count", "table")))
+    if command == "count" and draw(st.integers(0, 7)) == 0:
+        tokens = [str(draw(st.integers(1, 10 ** 6)))]
+    else:
+        tokens = draw(st.lists(st.integers(-2, 6).map(str), max_size=5))
+        if draw(st.integers(0, 3)) == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          draw(st.sampled_from(BAD_TOKENS)))
+    weight = sum(int(x) for x in tokens if x.isdigit())
+    argv = [command, "--type=" + ",".join(tokens)]
+    # half the draws take a prime, so that exit 0 with a value to check is common
+    prime = draw(st.one_of(st.sampled_from(("2", "3")),
+                           st.sampled_from((None, "-1", "0", "1", "4", "9", "true"))))
+    if prime is not None:
+        argv.append("--prime=" + prime)
+    if command == "count":
+        argv += ["--b=%d" % draw(st.integers(-3, weight + 3)),
+                 "--method=" + draw(st.sampled_from(("auto", "recurrence", "closed",
+                                                     "oracle"))),
+                 "--oracle-limit=%d" % draw(st.sampled_from((0, 1, 64)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_or_table_argv())
+def test_boundary_input_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on an option it cannot parse, such as --prime=true
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv
+        return
+    opts = dict(arg[2:].split("=", 1) for arg in argv[1:] if "=" in arg)
+    if "prime" not in opts:
+        return
+    t = GroupType(int(x) for x in opts["type"].split(",") if x.strip())
+    p = int(opts["prime"])
+    assert p in (2, 3), argv
+    if argv[0] == "count":
+        got = (json.loads(out.getvalue())["value"] if "--json" in argv
+               else int(out.getvalue().split()[-1]))
+        assert got == count_hironaka(t, int(opts["b"])).eval_at(p), argv
+        return
+    if "--json" in argv:
+        got = [row["value"] for row in json.loads(out.getvalue())["rows"]]
+    else:
+        got = [int(line.rsplit("= ", 1)[1]) for line in out.getvalue().splitlines()[:-1]]
+    assert got == [count_hironaka(t, b).eval_at(p) for b in range(t.weight + 1)], argv
 
 
 class TestResolveClosed:

@@ -4,16 +4,14 @@ import itertools
 import pytest
 
 from subcount.closedforms import (
-    CASE6_SPECIALIZATIONS, FormulaBug, FormulaResult, LinForm, OrderViolation,
-    RANK3_TABLES, anyrank_case1, assemble_table, classify_rank2,
-    leading_term_ccl, merge_table, rank2, rank3, rank3_mmm, rank3_with_case,
-    rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
-    standard_denominator, substitute_table, verify_case6_specializations,
+    CASE6_SPECIALIZATIONS, MMM_TABLES, FormulaBug, FormulaResult, LinForm,
+    OrderViolation, RANK3_TABLES, anyrank_case1, assemble_table, classify_rank2,
+    classify_rank3, leading_term_ccl, merge_table, rank2, rank3, rank3_applicable_cases,
+    rank3_mmm, rank3_with_case, rank4_mmmm_b, rank4_mmmm_total, rank4_partial,
+    rank4_total_ccl, standard_denominator, substitute_table,
+    verify_case6_specializations,
 )
-from subcount.groups import (
-    GroupType, OutOfRange, RankMismatch, classify_rank3,
-    rank3_applicable_cases,
-)
+from subcount.groups import GroupType, OutOfRange, RankMismatch
 from subcount.polyring import IntPoly, ONE
 from subcount.recurrence import count_hironaka, total_count
 
@@ -148,6 +146,13 @@ class TestEqualParts:
         for m in range(1, 4):
             for b in range(0, 3 * m + 1):
                 assert rank3_mmm(m, b).value == rank3((m, m, m), b).value
+
+    def test_mmm_tables_are_rank3_tables_at_equal_parts(self):
+        # symbolic, so it holds for every m, not only the m evaluated above
+        equal = {"a2": L(a1=1), "a3": L(a1=1)}
+        for j, k in ((1, 1), (2, 6), (3, 10)):
+            specialized = substitute_table(RANK3_TABLES[k], equal)
+            assert merge_table(specialized) == merge_table(MMM_TABLES[j]), (j, k)
 
     def test_mmm_bounds(self):
         with pytest.raises(ValueError):

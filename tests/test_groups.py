@@ -2,9 +2,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from subcount.closedforms import (
+    CASE_RANGES, CaseId, classify_rank3, rank3_applicable_cases,
+)
 from subcount.groups import (
-    CASE_RANGES, CaseId, CountQuery, GroupType, NegativePart, OutOfRange,
-    RankMismatch, canonicalize, classify_rank3, rank3_applicable_cases,
+    CountQuery, GroupType, NegativePart, OutOfRange, RankMismatch, canonicalize,
     symmetry_partner,
 )
 
