@@ -78,6 +78,22 @@ def _check_prime(p):
         k += 1
 
 
+def _check_order(prime, m, limit):
+    """Raise GroupTooLarge if prime**m > limit.
+
+    The power grows one factor at a time and stops at the first one past
+    the limit, so a huge m builds no huge int and the message names p^m.
+    """
+    order = 1
+    for _ in range(m):
+        order *= prime
+        if order > limit:
+            break
+    if order > limit:
+        raise GroupTooLarge(
+            "group order %d^%d exceeds the enumeration limit %d" % (prime, m, limit))
+
+
 def census_cost(t, prime):
     """Work the cover census would do: subgroup total times group order."""
     t = GroupType(t)
@@ -89,10 +105,7 @@ def subgroup_census(t, prime, limit=DEFAULT_LIMIT):
     t = GroupType(t)
     _check_prime(prime)
     m = t.weight
-    order = prime ** m
-    if order > limit:
-        raise GroupTooLarge(
-            "group order %d exceeds the enumeration limit %d" % (order, limit))
+    _check_order(prime, m, limit)
     cost = census_cost(t, prime)
     if cost > CENSUS_COST_LIMIT:
         raise CensusTooCostly(
@@ -208,10 +221,7 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
         raise RankTooLarge(
             "matrix census supports rank at most 4, got %d" % t.rank)
     m = t.weight
-    order = prime ** m
-    if order > limit:
-        raise GroupTooLarge(
-            "group order %d exceeds the enumeration limit %d" % (order, limit))
+    _check_order(prime, m, limit)
     cost = star_census_cost(t, prime)
     if cost > STAR_COST_LIMIT:
         raise CensusTooCostly(

@@ -15,7 +15,7 @@ from .closedforms import CaseId, rank3_applicable_cases
 from .groups import GroupType
 from .recurrence import count_hironaka, count_stehling, total_count
 
-SERIES_BOUNDS = (6, 6, 6)
+SERIES_BOUNDS = (8, 8, 8)
 STAR_ORDER_LIMIT = 512
 STAR_COST_GATE = 200000
 

@@ -18,7 +18,7 @@ from subcount.groups import GroupType
 from subcount.oracle import DEFAULT_LIMIT, subgroup_census
 from subcount.polyring import ZERO
 from subcount.recurrence import count_hironaka, total_count
-from subcount.verify import Scale, run
+from subcount.verify import SERIES_BOUNDS, Scale, run
 
 
 # census family: every type with group order <= 2^10 at p=2 and <= 3^7 at
@@ -154,11 +154,11 @@ def test_criterion_09_anyrank_product():
 
 def test_criterion_10_generating_functions():
     start = time.monotonic()
-    full = verify_F2(bounds=(6, 6, 6))
+    full = verify_F2(bounds=SERIES_BOUNDS)
     assert full == [], full[:3]
-    staircase = verify_g_product(bounds=(6, 6, 6))
+    staircase = verify_g_product(bounds=SERIES_BOUNDS)
     assert staircase == [], staircase[:3]
-    split = verify_sub_series(bounds=(6, 6, 6))
+    split = verify_sub_series(bounds=SERIES_BOUNDS)
     assert split["validated"]["equal_piece"] is not None
     assert split["validated"]["strict_piece"] is not None
     assert split["sum_matches_full"]

@@ -80,6 +80,18 @@ class TestCount:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("part, prime", [("1000000", "3"), ("2000", "2")])
+    def test_oracle_order_limit_on_a_huge_group(self, capsys, part, prime):
+        # the order p^m is named, not written out (past 4300 digits Python
+        # refuses to format it)
+        code, out, err = run(capsys, "count", "--type=" + part, "--b=1",
+                             "--method=oracle", "--prime=" + prime)
+        assert code == 2
+        assert out == ""
+        assert len(err) < 200
+        assert ("group order %s^%s exceeds the enumeration limit 4096" % (prime, part)
+                in err)
+
     def test_oracle_cost_limit(self, capsys):
         # order 4096 is inside the order limit; 4.9e11 subgroups are not
         start = time.monotonic()

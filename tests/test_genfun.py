@@ -3,12 +3,15 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from subcount import genfun
 from subcount.genfun import (
-    MultiSeries, NonUnitConstant, OutOfBounds, expand_rational,
+    MultiSeries, NonUnitConstant, OutOfBounds, _pack, _unpack, expand_rational,
     verify_F2, verify_g_product, verify_sub_series,
 )
 from subcount.polyring import IntPoly, ONE, ZERO
+from subcount.recurrence import count_stehling
 
 
 B = (3, 3, 3)
@@ -34,6 +37,10 @@ class TestMultiSeries:
         with pytest.raises(ValueError):
             MultiSeries((1, -1, 2))
 
+    def test_monomial_needs_three_exponents(self):
+        with pytest.raises(ValueError):
+            MultiSeries(B, {(1, 2): ONE})
+
     def test_coeff_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
             series().coeff(4, 0, 0)
@@ -58,12 +65,112 @@ class TestMultiSeries:
         s = series((1, 1, 1, IntPoly((0, 1))))
         assert s.coeff(1, 1, 1) == IntPoly((0, 1))
 
+    def test_int_coefficients(self):
+        assert series((1, 0, 0, -3)) == series((1, 0, 0, IntPoly((-3,))))
+        assert MultiSeries(B, {(0, 1, 0): 2}).coeff(0, 1, 0) == IntPoly((2,))
+
+    def test_wide_coefficients_add_and_compare(self):
+        # 2**70 needs 128-bit slots; + and == repack the 64-bit series to match
+        big = IntPoly((1 << 70, -(1 << 65)))
+        wide = series((1, 0, 0, big))
+        narrow = series((1, 0, 0, ONE), (0, 0, 1, IntPoly((0, -2))))
+        total = wide + narrow
+        assert total.coeff(1, 0, 0) == big + ONE
+        assert total.coeff(0, 0, 1) == IntPoly((0, -2))
+        assert total + series((1, 0, 0, -big)) == narrow
+        assert narrow == total + series((1, 0, 0, -big))
+        assert wide != series((1, 0, 0, IntPoly((1 << 70,))))
+
     def test_non_unit_constant(self):
         num = series((0, 0, 0, ONE))
         with pytest.raises(NonUnitConstant):
             expand_rational(num, [series((0, 0, 0, IntPoly((2,))))])
         with pytest.raises(NonUnitConstant):
             expand_rational(num, [series((1, 0, 0, ONE))])
+
+
+class TestPacking:
+    def test_round_trip_at_the_slot_edges(self):
+        for width in (64, 128):
+            half = 1 << (width - 1)
+            for coeffs in ([-half, half - 1, -1], [0, 1, -half], [half - 1]):
+                assert _unpack(_pack(coeffs, width), width) == IntPoly(coeffs)
+
+    def test_pack_raises_rather_than_alias(self):
+        # 2**63 in a signed 64-bit slot would read back as -2**63
+        for coeffs in ([1 << 63], [0, -(1 << 63) - 1], [(1 << 64) - 1, 0]):
+            with pytest.raises(OverflowError):
+                _pack(coeffs, 64)
+        assert _unpack(_pack([1 << 63], 128), 128) == IntPoly((1 << 63,))
+
+
+def reference_expand(bounds, numerator, factors):
+    """The one-pass division, cell by cell on dicts of IntPoly coefficients."""
+    box = list(product(*(range(b + 1) for b in bounds)))
+    acc = numerator
+    for factor in factors:
+        c0 = factor[(0, 0, 0)]
+        quotient = {}
+        for e in box:
+            total = acc.get(e, ZERO)
+            for m, c in factor.items():
+                rest = tuple(x - y for x, y in zip(e, m))
+                if m != (0, 0, 0) and min(rest) >= 0:
+                    total = total - c * quotient[rest]
+            quotient[e] = total * c0
+        acc = quotient
+    return acc
+
+
+@st.composite
+def rational_case(draw):
+    bounds = tuple(draw(st.integers(0, 3)) for _ in range(3))
+    cells = list(product(*(range(b + 1) for b in bounds)))
+    poly = st.builds(IntPoly, st.lists(st.integers(-3, 3), max_size=3))
+    numerator = draw(st.dictionaries(st.sampled_from(cells), poly, max_size=4))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        monomials = st.tuples(*(st.integers(0, 3) for _ in range(3))).filter(any)
+        factor = draw(st.dictionaries(monomials, poly, min_size=1, max_size=3))
+        factor[(0, 0, 0)] = draw(st.sampled_from((ONE, MINUS_ONE)))
+        factors.append(factor)
+    return bounds, numerator, factors
+
+
+def assert_matches_reference(bounds, numerator, factors):
+    got = expand_rational(MultiSeries(bounds, numerator),
+                          [MultiSeries(bounds, f) for f in factors])
+    inside = [{m: c for m, c in f.items() if all(e <= b for e, b in zip(m, bounds))}
+              for f in factors]
+    want = reference_expand(bounds, numerator, inside)
+    for cell in product(*(range(b + 1) for b in bounds)):
+        assert got.coeff(*cell) == want.get(cell, ZERO), cell
+    assert got.monomials == sorted(m for m, c in want.items() if c)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_case())
+def test_expansion_matches_intpoly_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_expansion_in_128_bit_slots():
+    # first a numerator past 2**63, then one whose quotient grows past it:
+    # 2**58 / (1 - 4*x1 - 4*x2) has 2**58 * C(6, 3) * 4**6 at x1**3 * x2**3
+    cases = [
+        ((3, 2, 2),
+         {(0, 0, 0): IntPoly((1 << 70, -(1 << 66))), (1, 0, 1): IntPoly((0, 5))},
+         [{(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE, (0, 1, 0): IntPoly((0, -3))},
+          {(0, 0, 0): MINUS_ONE, (1, 1, 1): IntPoly((2, 1))}]),
+        ((3, 3, 0),
+         {(0, 0, 0): IntPoly((1 << 58,))},
+         [{(0, 0, 0): ONE, (1, 0, 0): IntPoly((-4,)), (0, 1, 0): IntPoly((-4,))}]),
+    ]
+    for bounds, numerator, factors in cases:
+        got = assert_matches_reference(bounds, numerator, factors)
+        assert got._width == 128
+        assert max(abs(c) for m in got.monomials for c in got.coeff(*m).coeffs) > 1 << 63
 
 
 class TestExpandRational:
@@ -145,3 +252,27 @@ class TestSeriesChecks:
                 readings = {e["reading"]: e["ok"] for e in report[side]}
                 assert len(readings) == 2
                 assert sorted(readings.values()) == [False, True]
+
+    def test_wrong_reading_reports_five_unpacked_records(self, monkeypatch):
+        # the negated equal piece differs from the recurrence on every one of
+        # the 19 diagonal cells of (4, 4, 4); the report keeps the first 5
+        readings = genfun._f20_readings
+
+        def with_negated(bounds):
+            (name, (num, factors)), literal = readings(bounds)
+            negated = MultiSeries.from_terms(bounds, [(0, 0, 0, -1), (1, 1, 1, -1)])
+            return [(name, (num, factors)), ("negated", (negated, factors))]
+
+        monkeypatch.setattr(genfun, "_f20_readings", with_negated)
+        report = verify_sub_series((4, 4, 4))
+        assert report["ok"]
+        entry = report["equal_piece"][1]
+        assert entry["reading"] == "negated" and not entry["ok"]
+        cells = [(u, u, r) for u in range(5) for r in range(min(2 * u, 4) + 1)]
+        assert [m["monomial"] for m in entry["mismatches"]] == [
+            list(cell) for cell in cells[:5]]
+        for record in entry["mismatches"]:
+            u, v, r = record["monomial"]
+            want = count_stehling((v, u), r).to_json()
+            assert record["expected"] == want
+            assert record["got"] == [-c for c in want]

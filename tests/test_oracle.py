@@ -125,6 +125,13 @@ class TestStarCensus:
         with pytest.raises(GroupTooLarge):
             star_matrix_census((13,), 2)
 
+    def test_size_limit_on_a_huge_group(self):
+        for census in (subgroup_census, star_matrix_census):
+            with pytest.raises(GroupTooLarge) as info:
+                census((1000000,), 3)
+            assert str(info.value) == (
+                "group order 3^1000000 exceeds the enumeration limit 4096")
+
     def test_cost_limit(self):
         assert star_census_cost((1, 1, 1, 9), 2) > STAR_COST_LIMIT
         with pytest.raises(CensusTooCostly):
