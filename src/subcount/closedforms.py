@@ -174,13 +174,23 @@ def merge_table(table):
 
 
 def assemble_table(table, env):
-    """Evaluate a term table into a numerator polynomial."""
-    acc = IntPoly.zero()
+    """Evaluate a term table into a numerator polynomial.
+
+    The terms are summed into one coefficient list, so the table builds one
+    IntPoly; a term with a nonzero coefficient needs a nonnegative exponent.
+    """
+    terms = []
     for coeff, exp in table:
         c = coeff.eval(env)
         if c:
-            acc = acc + IntPoly.term(c, exp.eval(env))
-    return acc
+            e = exp.eval(env)
+            if e < 0:
+                raise ValueError("exponent must be nonnegative, got %d" % e)
+            terms.append((e, c))
+    coeffs = [0] * (max(terms)[0] + 1 if terms else 0)
+    for e, c in terms:
+        coeffs[e] += c
+    return IntPoly(coeffs)
 
 
 def _divide(numerator, denominator, case):

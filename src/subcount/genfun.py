@@ -82,7 +82,8 @@ class MultiSeries:
 
     def __init__(self, bounds, data=None):
         self.bounds = tuple(bounds)
-        if len(self.bounds) != 3 or any(v < 0 for v in self.bounds):
+        if len(self.bounds) != 3 or any(
+                isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in self.bounds):
             raise ValueError("bounds must be three nonnegative ints")
         polys = {}
         for mono, coeff in (data or {}).items():

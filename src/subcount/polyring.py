@@ -41,7 +41,8 @@ class IntPoly:
     def _trusted(cls, coeffs):
         """Wrap a list of ints that an IntPoly method has just computed.
 
-        The coefficients came from ints already checked, so only trailing
+        The coefficients came from ints already checked (or, for
+        count_stehling's answers, from machine words), so only trailing
         zeros are stripped; the list is consumed.
         """
         while coeffs and coeffs[-1] == 0:

@@ -9,6 +9,7 @@ the two share no arithmetic code, which makes them useful as cross-checks on
 each other.
 """
 
+import sys
 import threading
 from math import comb
 
@@ -108,12 +109,20 @@ def count_stehling(t, b, memo=None):
     desc = t.descending()
     answer = memo.get((desc, b))
     if answer is None:
-        width = (comb(weight + t.rank, t.rank).bit_length() // 64 + 1) * 64
+        words = comb(weight + t.rank, t.rank).bit_length() // 64 + 1
+        width = words * 64
         packed = _stehling(desc, b, weight - b, width, memo)
-        step = width // 8
-        raw = packed.to_bytes(-(-packed.bit_length() // width) * step, "little")
-        coeffs = [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
-        answer = memo.put((desc, b), IntPoly(coeffs))
+        # the slots are whole 64-bit words, so one cast reads every word;
+        # a big-endian machine lists them highest first
+        size = -(-packed.bit_length() // width) * words * 8
+        coeffs = memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+        if sys.byteorder == "big":
+            coeffs.reverse()
+        if words > 1:
+            coeffs = [sum(w << (64 * j) for j, w in enumerate(coeffs[i:i + words]))
+                      for i in range(0, len(coeffs), words)]
+        # the slots hold nonnegative ints by construction
+        answer = memo.put((desc, b), IntPoly._trusted(coeffs))
     return answer
 
 
@@ -133,8 +142,9 @@ def count_stehling(t, b, memo=None):
 # (300, 300, 300), whose coefficients stay below 2**19, 960-bit slots and a
 # query at b = 450 about 280 MB of memo.
 # count_stehling rounds the width up to a multiple of 64 bits, so slots are
-# whole bytes and few widths occur, and the memo key carries it so that one
-# memo shared across types never mixes widths.
+# whole machine words, which one memoryview cast unpacks, and few widths
+# occur; the memo key carries the width so that one memo shared across types
+# never mixes widths.
 
 def _stehling(desc, r, gap, width, memo):
     """S(desc, r) packed at width bits a coefficient; gap = weight(desc) - r >= 0.
@@ -142,18 +152,20 @@ def _stehling(desc, r, gap, width, memo):
     A shrink step lowers r and the weight together, so gap is fixed down the
     chain.  While desc[0] > gap the second term is 0 (r exceeds the weight of
     desc[1:]), so the chain first cuts every part down to gap; the memo only
-    holds states past that cut.  Only desc[1:] is recursed on, so the stack
-    depth is at most the rank.
+    holds states past that cut.  Only desc[1:] is recursed on, and only when
+    its cut state is not in the memo yet, so the stack depth is at most the
+    rank.
     """
     if not gap:  # the cut would leave S((), 0): only the whole group
         return 1
     if desc[0] > gap:
-        desc = tuple([min(a, gap) for a in desc])
+        desc = tuple([a if a < gap else gap for a in desc])
         r = sum(desc) - gap
+    get = memo.get
     chain = []
     while r:
         key = (width, desc, r)
-        value = memo.get(key)
+        value = get(key)
         if value is not None:
             break
         chain.append(key)
@@ -165,8 +177,26 @@ def _stehling(desc, r, gap, width, memo):
         value = 1
     for key in reversed(chain):
         _, desc, r = key
-        value += _stehling(desc[1:], r, gap - desc[0], width, memo) << (r * width)
-        value = memo.put(key, value)
+        # the second term is S(desc[1:], r), whose gap is gap - desc[0]; it is
+        # cut here as the call would cut it, so that a child already in the
+        # memo (most are) costs one lookup and no call
+        child_gap = gap - desc[0]
+        if not child_gap:
+            child = 1
+        else:
+            rest = desc[1:]
+            if rest[0] > child_gap:
+                rest = tuple([a if a < child_gap else child_gap for a in rest])
+                child_r = sum(rest) - child_gap
+            else:
+                child_r = r
+            if not child_r:
+                child = 1
+            else:
+                child = get((width, rest, child_r))
+                if child is None:
+                    child = _stehling(rest, child_r, child_gap, width, memo)
+        value = memo.put(key, value + (child << (r * width)))
     return value
 
 

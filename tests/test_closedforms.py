@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, MMM_TABLES, FormulaBug, FormulaResult, LinForm,
@@ -12,7 +13,7 @@ from subcount.closedforms import (
     verify_case6_specializations,
 )
 from subcount.groups import GroupType, OutOfRange, RankMismatch
-from subcount.polyring import IntPoly, ONE
+from subcount.polyring import IntPoly, ONE, ZERO
 from subcount.recurrence import count_hironaka, total_count
 
 L = LinForm.of
@@ -54,6 +55,51 @@ class TestTableHelpers:
         swapped = substitute_table(table, {"b": L(a1=1)})
         env = {"a1": 2, "a2": 0, "a3": 0, "b": 7, "m": 0}
         assert assemble_table(swapped, env) == IntPoly.term(1, 2)
+
+
+def assemble_term_by_term(table, env):
+    """Reference for assemble_table: one monomial added per nonzero term."""
+    acc = IntPoly.zero()
+    for coeff, exp in table:
+        c = coeff.eval(env)
+        if c:
+            acc = acc + IntPoly.term(c, exp.eval(env))
+    return acc
+
+
+lin_forms = st.builds(LinForm, st.tuples(*[st.integers(-2, 3)] * 4), st.integers(-3, 9))
+term_tables = st.lists(st.tuples(lin_forms, lin_forms), max_size=10).map(tuple)
+envs = st.fixed_dictionaries({name: st.integers(0, 6) for name in LinForm.VARS})
+
+
+class TestAssembleTable:
+    @given(term_tables, envs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_term_by_term(self, table, env):
+        try:
+            want = assemble_term_by_term(table, env)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                assemble_table(table, env)
+            assert str(info.value) == str(exc)
+        else:
+            assert assemble_table(table, env) == want
+
+    def test_cancelling_terms_give_zero(self):
+        env = {"a1": 2, "a2": 3, "a3": 5, "b": 4}
+        table = ((L(1), L(2, b=1)), (L(0, a1=1), L(1)), (L(-1), L(6)),
+                 (L(-2), L(1)), (L(0, a1=-1, a3=1), L(0)), (L(-3), L()))
+        assert assemble_term_by_term(table, env) == ZERO
+        assert assemble_table(table, env) == ZERO
+
+    def test_negative_exponent_raises(self):
+        env = {"a1": 2, "a2": 3, "a3": 5, "b": 4}
+        table = ((L(1), L(3)), (L(2), L(-1, a1=1, b=-1)))
+        for assemble in (assemble_term_by_term, assemble_table):
+            with pytest.raises(ValueError, match="exponent must be nonnegative, got -3"):
+                assemble(table, env)
+        # a zero coefficient leaves its exponent unread, as before
+        assert assemble_table(((L(0), L(-1)),), env) == ZERO
 
 
 class TestRank2:
@@ -128,6 +174,11 @@ class TestRank3:
             with pytest.raises(FormulaBug) as info:
                 rank3(*target)
             assert "rank3 Case 6" in str(info.value)
+            t, b = target
+            env = dict(zip(("a1", "a2", "a3", "b"), (*t.parts, b)))
+            _, remainder = assemble_term_by_term(RANK3_TABLES[6], env).divmod(
+                standard_denominator(2))
+            assert info.value.remainder == remainder
         finally:
             RANK3_TABLES[6] = original
         assert verify_case6_specializations() == []

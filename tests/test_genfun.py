@@ -37,6 +37,14 @@ class TestMultiSeries:
         with pytest.raises(ValueError):
             MultiSeries((1, -1, 2))
 
+    @pytest.mark.parametrize("bounds", [(1.5, 2, 2), (True, 2, 2), (2, 2, 2.0)])
+    def test_bounds_must_be_ints(self, bounds):
+        # a float bound would fail later inside range(); a bool is not a count
+        with pytest.raises(ValueError, match="bounds must be three nonnegative ints"):
+            MultiSeries(bounds, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="bounds must be three nonnegative ints"):
+            verify_F2(bounds)
+
     def test_monomial_needs_three_exponents(self):
         with pytest.raises(ValueError):
             MultiSeries(B, {(1, 2): ONE})

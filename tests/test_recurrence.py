@@ -155,6 +155,19 @@ class TestStehlingDepth:
         assert got == rank2((1000, 1000), 1000).value
 
 
+class TestStehlingWork:
+    """The memo holds the same states however the descent reaches them."""
+
+    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 1856), ((25, 32, 33), 3571)])
+    def test_memo_entries_after_a_table(self, parts, entries):
+        # one answer per b plus every packed state the table reaches; a child
+        # found in the memo before its call must not add or skip a state
+        memo = MemoTable()
+        for b in range(sum(parts) + 1):
+            count_stehling(parts, b, memo)
+        assert len(memo) == entries
+
+
 def gaussian_binomial(n, k, q):
     """[n choose k]_q at an integer q, by the product formula."""
     num = den = 1
