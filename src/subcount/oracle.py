@@ -18,13 +18,14 @@ DEFAULT_LIMIT = 4096
 
 # Largest predicted work either census starts.  The cover census is charged
 # subgroup total times group order (about 0.3 microseconds a unit on a 2-core
-# x86 VM with Python 3.11), the matrix census its candidate matrices
-# (star_census_cost), of which its pruning visits a small share.  Both admit
-# the whole acceptance family, whose cover costs stop at 6,000,000; the
-# queries they refuse would run for minutes or, like the 4.9e11 subgroups of
-# (1^12) at p=2, never finish.
+# x86 VM with Python 3.11), the matrix census a proved bound on its search
+# calls (star_census_work, about 0.5-1.6 microseconds a unit there), so
+# either runs for at most a few seconds.  Both admit the whole acceptance
+# family, whose cover costs stop at 6,000,000 and whose work bounds stop at
+# 5,368; the queries they refuse would run for minutes or, like the 4.9e11
+# subgroups of (1^12) at p=2, never finish.
 CENSUS_COST_LIMIT = 20_000_000
-STAR_COST_LIMIT = 20_000_000
+STAR_COST_LIMIT = 10_000_000
 
 
 class GroupTooLarge(ValueError):
@@ -33,6 +34,10 @@ class GroupTooLarge(ValueError):
 
 class CensusTooCostly(GroupTooLarge):
     """Raised when a census's predicted work exceeds its cost limit."""
+
+
+class PrimalityUndecided(ValueError):
+    """Raised when a prime is too large for the exact primality test."""
 
 
 class RankTooLarge(ValueError):
@@ -68,14 +73,36 @@ class CensusResult:
         return "CensusResult(%r, %r, %r)" % (self.prime, self.group_type, self.counts)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)): every composite n below it fails some base.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _check_prime(p):
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError("prime must be an int >= 2, got %r" % (p,))
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+    if p >= PRIME_TEST_BOUND:
+        raise PrimalityUndecided(
+            "primality is decided only below %d, got a %d-bit number"
+            % (PRIME_TEST_BOUND, p.bit_length()))
+    if p in _PRIME_BASES:
+        return
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError("%d is not prime" % p)
-        k += 1
 
 
 def _check_order(prime, m, limit):
@@ -182,29 +209,72 @@ def _cover_census(mods, p):
         level = above
 
 
-def _minor(mat, rows, cols):
-    sub = [[mat[r][c] for c in cols] for r in rows]
-    k = len(sub)
-    if k == 1:
-        return sub[0][0]
-    if k == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    a, b, c = sub[0]
-    d, e, f = sub[1]
-    g, h, i = sub[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def star_census_cost(t, prime):
-    """Number of candidate matrices the matrix census would enumerate.
+    """Number of candidate matrices: every residue of every entry.
 
     Column j contributes j - 1 off-diagonal residues mod p**i_j, so the count
-    is a product of geometric sums; use it to skip infeasible types.
+    is a product of geometric sums.  The census solves for its entries and
+    never enumerates these candidates; the number only sizes a family, as
+    verify's matrix-census family is capped by it.
     """
     t = GroupType(t)
     total = 1
     for j, a in enumerate(t.parts):
         total *= sum(prime ** (j * i) for i in range(0, a + 1))
+    return total
+
+
+def _star_cells(k):
+    """The off-diagonal cells of a k-by-k matrix, in the order they are filled.
+
+    Column by column, each from the diagonal upward: entry (r, j) is tested
+    against the minor on rows r..j-1 and columns r+1..j, which holds no entry
+    of a later column and none above row r of column j, so every entry is
+    tested as soon as it is set.
+    """
+    return [(r, j) for j in range(1, k) for r in range(j - 1, -1, -1)]
+
+
+# Work bound.  For a type vector ivec, cell (r, j) admits the values
+# range(start, p**i_j, p**x) with x = max(0, i_j + i_r - a_r) and
+# 0 <= start < p**x (see _fillings).  As i_r <= a_r, x <= i_j, so that range
+# holds exactly u(r, j) = p**(i_j - x) = p**min(i_j, a_r - i_r) values.  The
+# search calls _fillings once at depth 0, and once at depth d + 1 for each
+# value of cell d taken at a depth-d call, except at the last cell, whose
+# values are counted and not taken.  A call that finds no admissible value
+# takes none, so by induction on d the search makes at most
+# u(cell 0) * ... * u(cell d-1) calls at depth d, and at most
+#     W(ivec) = sum over d = 0..n-1 of prod over c < d of u(cell c)
+# calls for ivec, where n >= 1 is the number of cells; a rank-1 type makes
+# no call and is charged 1 a type vector for its loop.  The bound reads
+# only the type, so it is known before any matrix is built.  Each term is
+# at least 1, so a type with V type vectors is charged at least V * n.
+
+def star_census_work(t, prime):
+    """An upper bound on the search calls of star_matrix_census: W(ivec)
+    summed over every type vector.
+
+    A type with V type vectors and n >= 1 cells is charged at least V * n.
+    When that alone passes STAR_COST_LIMIT it is returned unsummed, so a
+    huge type is priced at once, and a summed type has at most
+    STAR_COST_LIMIT / n type vectors.
+    """
+    t = GroupType(t)
+    parts = t.parts
+    inner = _star_cells(t.rank)[:-1]
+    vectors = 1
+    for a in parts:
+        vectors *= a + 1
+    floor = vectors * (len(inner) + 1)
+    if floor > STAR_COST_LIMIT:
+        return floor
+    total = 0
+    for ivec in product(*[range(a + 1) for a in parts]):
+        calls = node = 1
+        for r, j in inner:
+            node *= prime ** min(ivec[j], parts[r] - ivec[r])
+            calls += node
+        total += calls
     return total
 
 
@@ -214,6 +284,8 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     Diagonal entries run over the divisors p**i_j of each factor order; the
     entries above a diagonal entry run over residues mod p**i_j.  A matrix is
     kept when each excess exponent divides the matching connected minor.
+    Each such test is linear in the entry it tests, so the admissible values
+    of an entry are solved for, not tried one by one; see _fillings.
     """
     t = GroupType(t)
     _check_prime(prime)
@@ -222,50 +294,90 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
             "matrix census supports rank at most 4, got %d" % t.rank)
     m = t.weight
     _check_order(prime, m, limit)
-    cost = star_census_cost(t, prime)
-    if cost > STAR_COST_LIMIT:
+    work = star_census_work(t, prime)
+    if work > STAR_COST_LIMIT:
         raise CensusTooCostly(
-            "matrix census of %s at p=%d would cost %d candidate matrices, "
-            "over the limit %d" % (t, prime, cost, STAR_COST_LIMIT))
+            "matrix census of %s at p=%d may make %d or more search calls, "
+            "over the limit %d" % (t, prime, work, STAR_COST_LIMIT))
     k = t.rank
     parts = t.parts
-    # entry (r, j) is tested against the minor on rows r..j-1 and columns
-    # r+1..j, which holds no entry of a later column and none above row r of
-    # column j; filling column by column, each from the diagonal upward,
-    # tests every entry as soon as it is set
-    cells = [(r, j) for j in range(1, k) for r in range(j - 1, -1, -1)]
+    cells = _star_cells(k)
     counts = [0] * (m + 1)
     for ivec in product(*[range(0, a + 1) for a in parts]):
+        if not cells:
+            counts[m - sum(ivec)] += 1
+            continue
         mat = [[0] * k for _ in range(k)]
         for j in range(k):
             mat[j][j] = prime ** ivec[j]
-        tests = []
+        steps = []
+        solves = []
         for r, j in cells:
             excess = ivec[j] + sum(ivec[r:j]) - parts[r]
-            if excess > 0:
-                tests.append((list(range(r, j)), list(range(r + 1, j + 1)),
-                              prime ** excess))
-            else:
-                tests.append(None)
-        counts[m - sum(ivec)] += _fillings(mat, cells, tests, 0)
+            if excess <= 0:
+                steps.append(1)
+                solves.append(None)
+                continue
+            s = sum(ivec[r + 1:j])
+            steps.append(prime ** max(0, excess - s))
+            # a 1-by-1 minor is the entry itself: its constant term is 0
+            solves.append(None if j == r + 1 else (
+                prime ** min(s, excess), (-1) ** (j - r)))
+        counts[m - sum(ivec)] += _fillings(mat, cells, steps, solves, 0)
     if counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
         raise RuntimeError(
             "matrix census invariants violated for %s at p=%d: %s" % (t, prime, counts))
     return CensusResult(prime, t, counts)
 
 
-def _fillings(mat, cells, tests, i):
-    """Number of ways to fill cells[i:] so that every minor test passes."""
-    if i == len(cells):
-        return 1
+def _constant(mat, r, j):
+    """The minor on rows r..j-1 and columns r+1..j at mat[r][j] = 0, for
+    j - r = 2 or 3; the entries below the diagonal are 0.
+    """
+    a, b = mat[r], mat[r + 1]
+    if j == r + 2:
+        return a[r + 1] * b[j]
+    c = mat[r + 2]
+    return a[r + 1] * (b[r + 2] * c[j] - b[j] * c[r + 2]) - a[r + 2] * b[r + 1] * c[j]
+
+
+def _fillings(mat, cells, steps, solves, i):
+    """Number of ways to fill cells[i:] so that every minor test passes.
+
+    Cell (r, j) with v in it is tested when its excess
+    e = i_j + i_r + ... + i_(j-1) - a_r is positive: p**e must divide the
+    minor on rows r..j-1 and columns r+1..j.  Expanding that minor along
+    row r, v sits only in its top-right corner, whose complementary minor
+    is upper-triangular with diagonal p**i_(r+1), ..., p**i_(j-1).  So the
+    minor is (-1)**(j-r-1) * p**s * v + c, with s = i_(r+1) + ... + i_(j-1)
+    and c the minor at v = 0, and the test is a linear congruence in v:
+    - with g = min(s, e), p**g must divide c, or no v passes;
+    - if s >= e, every v passes;
+    - else v = (-1)**(j-r) * c / p**s mod p**(e-s), one residue.
+    So when p**g divides c, the passing v in range(p**i_j) are
+    range(start, p**i_j, steps[i]), where steps[i] = p**max(0, e - s) and
+    e - s = i_j + i_r - a_r is at most i_j; there are p**i_j // steps[i] of
+    them, whatever start is.  solves[i] holds p**g and (-1)**(j-r), or None when c is 0 (a
+    1-by-1 minor) or the cell is untested.
+    """
     r, j = cells[i]
+    step = steps[i]
+    start = 0
+    solve = solves[i]
+    if solve is not None:
+        divisor, sign = solve
+        c = _constant(mat, r, j)
+        if c % divisor:
+            return 0
+        start = sign * (c // divisor) % step
+    top = mat[j][j]
+    if i == len(cells) - 1:
+        return top // step
     row = mat[r]
-    test = tests[i]
     total = 0
-    for v in range(mat[j][j]):
+    for v in range(start, top, step):
         row[j] = v
-        if test is None or _minor(mat, test[0], test[1]) % test[2] == 0:
-            total += _fillings(mat, cells, tests, i + 1)
+        total += _fillings(mat, cells, steps, solves, i + 1)
     return total
 
 

@@ -15,6 +15,7 @@ from subcount.closedforms import (
 )
 from subcount.genfun import verify_F2, verify_g_product, verify_sub_series
 from subcount.groups import GroupType
+from subcount import oracle
 from subcount.oracle import DEFAULT_LIMIT, subgroup_census
 from subcount.polyring import ZERO
 from subcount.recurrence import count_hironaka, total_count
@@ -88,16 +89,34 @@ def test_criterion_02_recurrences_agree():
 
 def test_criterion_03_census_agreement():
     family = census_family(CENSUS_COST_CAP)
-    star = [(t, p) for t, p in family if t.rank <= 3]
+    star = [(t, p) for t, p in family if t.rank <= 4]
     start = time.monotonic()
     # one comparison per order index of each member, against the recurrence at p
     bounds = dict(oracle_limit=DEFAULT_LIMIT, census_pairs=family, star_pairs=star)
     _run("census-closure", 1180, **bounds)
-    _run("census-star", 730, **bounds)
+    _run("census-star", 730 + 275, **bounds)
     elapsed = time.monotonic() - start
     _report(3, elapsed < 60.0,
             "(cover census, %d types, %d star cross-checks, %.1fs)"
             % (len(family), len(star), elapsed))
+
+
+def test_star_work_bound_holds_on_criterion_3_family(monkeypatch):
+    # count every search call through the module global the recursion uses
+    calls = [0]
+    fillings = oracle._fillings
+
+    def counted(*args):
+        calls[0] += 1
+        return fillings(*args)
+
+    monkeypatch.setattr(oracle, "_fillings", counted)
+    members = [(t, p) for t, p in census_family(CENSUS_COST_CAP) if t.rank <= 4]
+    assert sum(t.rank == 4 for t, _ in members) == 31
+    for t, p in members:
+        calls[0] = 0
+        oracle.star_matrix_census(t, p)
+        assert calls[0] <= oracle.star_census_work(t, p) <= oracle.STAR_COST_LIMIT, (t, p)
 
 
 def test_criterion_04_symmetry():

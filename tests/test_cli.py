@@ -118,6 +118,18 @@ class TestCount:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("prime, code", [
+        (2 ** 61 - 1, 0), ((2 ** 61 - 1) * (2 ** 31 - 1), 2)])
+    def test_large_prime_decided_fast(self, capsys, prime, code):
+        # the second is past the range where the primality test is exact
+        start = time.monotonic()
+        got, out, err = run(capsys, "count", "--type", "1", "--b", "1",
+                            "--prime", str(prime))
+        assert time.monotonic() - start < 1.0
+        assert got == code
+        assert out == ("1 = 1\n" if code == 0 else "")
+        assert ("error" in err) == (code == 2)
+
     def test_json_fields(self, capsys):
         code, out, _ = run(capsys, "count", "--type", "3,2,1", "--b", "2", "--json")
         assert code == 0

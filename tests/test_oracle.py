@@ -1,12 +1,16 @@
 """Brute-force censuses and the q-binomial reference."""
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcount import oracle
 from subcount.groups import GroupType, OutOfRange
 from subcount.oracle import (
-    CENSUS_COST_LIMIT, DEFAULT_LIMIT, STAR_COST_LIMIT, CensusResult, CensusTooCostly,
-    GroupTooLarge, RankTooLarge, census_cost, gaussian_binomial, star_census_cost,
+    CENSUS_COST_LIMIT, DEFAULT_LIMIT, PRIME_TEST_BOUND, STAR_COST_LIMIT, CensusResult,
+    CensusTooCostly, GroupTooLarge, PrimalityUndecided, RankTooLarge, _check_prime,
+    census_cost, gaussian_binomial, star_census_cost, star_census_work,
     star_matrix_census, subgroup_census,
 )
 from subcount.polyring import IntPoly, ONE
@@ -29,6 +33,21 @@ def small_groups(draw):
         parts.append(part)
         budget -= part
     return GroupType(parts), p
+
+
+# largest weight drawn for the matrix census: orders stay at most 4096,
+# 2187 and 3125
+STAR_WEIGHT_BOUND = {2: 12, 3: 7, 5: 5}
+
+
+@st.composite
+def star_groups(draw):
+    p = draw(st.sampled_from(sorted(STAR_WEIGHT_BOUND)))
+    rank = draw(st.integers(1, 4))
+    weight = draw(st.integers(rank, STAR_WEIGHT_BOUND[p]))
+    cuts = sorted(draw(st.permutations(range(1, weight)))[:rank - 1])
+    bounds = [0] + cuts + [weight]
+    return GroupType([hi - lo for lo, hi in zip(bounds, bounds[1:])]), p
 
 
 class TestClosureCensus:
@@ -132,13 +151,103 @@ class TestStarCensus:
             assert str(info.value) == (
                 "group order 3^1000000 exceeds the enumeration limit 4096")
 
+    @settings(max_examples=200, deadline=None)
+    @given(star_groups())
+    def test_matches_recurrence_up_to_rank_4(self, group):
+        t, p = group
+        assert star_matrix_census(t, p).counts == tuple(
+            count_hironaka(t, b).eval_at(p) for b in range(t.weight + 1))
+
+    @pytest.mark.parametrize("t, p", [
+        ((2, 2, 3), 2), ((1, 2, 3, 3), 2), ((2, 2, 2, 2), 2), ((1, 1, 2, 2), 3),
+        ((1, 2, 2), 5)])
+    def test_every_solved_value_passes_its_minor_test(self, monkeypatch, t, p):
+        # each value the search sets must pass its cell's minor test, tried
+        # directly, and the count of the last cell must equal the number of
+        # residues that pass it
+        fillings = oracle._fillings
+        parts = GroupType(t).parts
+        seen = [0, 0]
+
+        def exponent(x):
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            return e
+
+        def det(rows):
+            if len(rows) == 1:
+                return rows[0][0]
+            return sum((-1) ** c * rows[0][c] * det([row[:c] + row[c + 1:] for row in rows[1:]])
+                       for c in range(len(rows)))
+
+        def passes(mat, r, j):
+            ivec = [exponent(mat[q][q]) for q in range(len(mat))]
+            excess = ivec[j] + sum(ivec[r:j]) - parts[r]
+            minor = det([[mat[q][c] for c in range(r + 1, j + 1)] for q in range(r, j)])
+            return excess <= 0 or minor % p ** excess == 0
+
+        def checked(mat, cells, steps, solves, i):
+            if i:
+                assert passes(mat, *cells[i - 1])
+                seen[0] += 1
+            got = fillings(mat, cells, steps, solves, i)
+            if i == len(cells) - 1:
+                r, j = cells[i]
+                want = 0
+                for v in range(mat[j][j]):
+                    mat[r][j] = v
+                    want += passes(mat, r, j)
+                assert got == want
+                seen[1] += 1
+            return got
+
+        monkeypatch.setattr(oracle, "_fillings", checked)
+        assert star_matrix_census(t, p).counts == tuple(
+            count_hironaka(t, b).eval_at(p) for b in range(sum(t) + 1))
+        assert seen[0] > 0 and seen[1] > 0
+
+    def test_admits_what_the_candidate_count_refused(self):
+        # these criterion-3 members have over 2e7 candidate matrices
+        for t, p in [((1, 1, 2, 6), 2), ((1, 1, 1, 7), 2), ((1, 1, 1, 4), 3)]:
+            assert star_census_cost(t, p) > 20_000_000
+            assert star_matrix_census(t, p).counts == tuple(
+                count_hironaka(t, b).eval_at(p) for b in range(sum(t) + 1))
+
     def test_cost_limit(self):
-        assert star_census_cost((1, 1, 1, 9), 2) > STAR_COST_LIMIT
+        # (1,1,1,9) at p=2, the old refused example, has only 475 subgroups
+        # and a work bound of 960 search calls; a lifted order limit lets
+        # (6,6,6,6) at p=2 past the order check, and its bound refuses it
+        assert star_census_work((1, 1, 1, 9), 2) == 960
+        assert star_census_work((6, 6, 6, 6), 2) == 17_096_140 > STAR_COST_LIMIT
         with pytest.raises(CensusTooCostly):
-            star_matrix_census((1, 1, 1, 9), 2)
+            star_matrix_census((6, 6, 6, 6), 2, limit=2 ** 24)
+
+    def test_cost_limit_on_a_huge_type(self):
+        # 1001**4 type vectors of 6 cells: refused by that count alone, before
+        # any type vector is visited
+        t = (1000,) * 4
+        assert star_census_work(t, 2) == 1001 ** 4 * 6
+        start = time.monotonic()
+        with pytest.raises(CensusTooCostly):
+            star_matrix_census(t, 2, limit=2 ** 4000)
+        assert time.monotonic() - start < 1.0
+
+    def test_work_bound(self):
+        # ranks 1 and 2 are charged one call a type vector: rank 2's only
+        # cell is the last one, whose values are counted
+        assert star_census_work((3,), 2) == 4
+        assert star_census_work((1, 1), 2) == 4
+        # (1,1,1): 8 vectors, each 1 + u(0,1) + u(0,1) * u(1,2) with
+        # u(r, j) = p**min(i_j, a_r - i_r)
+        assert star_census_work((1, 1, 1), 3) == sum(
+            1 + 3 ** min(i1, 1 - i0) + 3 ** (min(i1, 1 - i0) + min(i2, 1 - i1))
+            for i0 in (0, 1) for i1 in (0, 1) for i2 in (0, 1))
 
     def test_cost_estimate(self):
-        # rank 1 never branches; higher columns contribute geometric sums
+        # the candidate count sizes verify's family; rank 1 has one candidate
+        # a diagonal, higher columns contribute geometric sums
         assert star_census_cost((3,), 2) == 4
         assert star_census_cost((1, 1), 2) == 2 * 3
         assert star_census_cost((1, 1), 3) == 2 * 4
@@ -147,6 +256,35 @@ class TestStarCensus:
         small = star_census_cost((1, 1, 1), 2)
         big = star_census_cost((1, 1, 8), 2)
         assert big > 100 * small
+
+
+class TestPrimeCheck:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+        for n in range(2, 10 ** 4):
+            try:
+                _check_prime(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == trial(n), n
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the first 4, 9 and 12 prime bases; each
+        # fails a later one of the 13
+        for n in (3_215_031_751, 3_825_123_056_546_413_051,
+                  318_665_857_834_031_151_167_461):
+            with pytest.raises(ValueError, match="not prime"):
+                _check_prime(n)
+
+    def test_undecided_above_the_bound(self):
+        with pytest.raises(PrimalityUndecided):
+            _check_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+        with pytest.raises(PrimalityUndecided):
+            _check_prime(PRIME_TEST_BOUND)
+        assert issubclass(PrimalityUndecided, ValueError)
 
 
 class TestGaussianBinomial:
