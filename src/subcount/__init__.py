@@ -17,21 +17,12 @@ from .closedforms import (
     rank4_total_ccl,
 )
 from .genfun import MultiSeries, expand_rational, verify_F2, verify_g_product, verify_sub_series
-from .groups import (
-    CountQuery,
-    GroupType,
-    NegativePart,
-    OutOfRange,
-    RankMismatch,
-    canonicalize,
-    symmetry_partner,
-)
+from .groups import GroupType, NegativePart, OutOfRange, RankMismatch
 from .oracle import (
     CensusResult,
     CensusTooCostly,
     GroupTooLarge,
     PrimalityUndecided,
-    RankTooLarge,
     gaussian_binomial,
     star_matrix_census,
     subgroup_census,
@@ -45,7 +36,6 @@ __all__ = [
     "CaseId",
     "CensusResult",
     "CensusTooCostly",
-    "CountQuery",
     "FormulaBug",
     "FormulaResult",
     "GroupTooLarge",
@@ -59,10 +49,8 @@ __all__ = [
     "OutOfRange",
     "PrimalityUndecided",
     "RankMismatch",
-    "RankTooLarge",
     "ZeroPolynomial",
     "anyrank_case1",
-    "canonicalize",
     "classify_rank3",
     "count_hironaka",
     "count_stehling",
@@ -78,7 +66,6 @@ __all__ = [
     "rank4_total_ccl",
     "star_matrix_census",
     "subgroup_census",
-    "symmetry_partner",
     "total_count",
     "verify_F2",
     "verify_g_product",

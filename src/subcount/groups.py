@@ -1,4 +1,4 @@
-"""Finite abelian p-group types and subgroup-order queries.
+"""Finite abelian p-group types and their errors.
 
 A type is the multiset of exponents (a_1, ..., a_d): the group is the direct
 sum of cyclic factors of order p**a_i.  Types are stored ascending; zero parts
@@ -55,10 +55,6 @@ class GroupType:
     def descending(self):
         return tuple(reversed(self._parts))
 
-    def drop_largest(self):
-        """The type with the largest part removed."""
-        return GroupType(self._parts[:-1])
-
     def to_json(self):
         return list(self._parts)
 
@@ -82,40 +78,3 @@ class GroupType:
     def __str__(self):
         return "(" + ", ".join(str(a) for a in self.descending()) + ")"
 
-
-def canonicalize(raw):
-    """Make a GroupType from any iterable of parts, in any order."""
-    return GroupType(raw)
-
-
-class CountQuery:
-    """A subgroup-order query: how many subgroups of order p**b in the type.
-
-    b may lie outside [0, weight]; such queries are legal and count zero.
-    """
-
-    __slots__ = ("group_type", "b")
-
-    def __init__(self, group_type, b):
-        self.group_type = GroupType(group_type)
-        self.b = int(b)
-
-    def __eq__(self, other):
-        if isinstance(other, CountQuery):
-            return (self.group_type, self.b) == (other.group_type, other.b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("CountQuery", self.group_type, self.b))
-
-    def __repr__(self):
-        return "CountQuery(%r, %r)" % (self.group_type, self.b)
-
-
-def symmetry_partner(t, b):
-    """The order index paired with b by subgroup-count symmetry."""
-    t = GroupType(t)
-    m = t.weight
-    if not 0 <= b <= m:
-        raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
-    return m - b

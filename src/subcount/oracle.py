@@ -2,13 +2,14 @@
 
 Two oracles: a cover census that enumerates every subgroup of a small group
 directly, one index-p step at a time, and a column-reduced matrix census
-that counts canonical subgroup matrices.  Neither one takes its counts from
-the recurrences or the closed forms, so agreement between the routes is
-meaningful evidence; the recurrence only predicts what a census would cost
-before it starts.
+that counts canonical subgroup matrices of any rank, getting each minor it
+tests from the minors below it by one row expansion.  Neither one takes its
+counts from the recurrences or the closed forms, so agreement between the
+routes is meaningful evidence; the recurrence only predicts what a census
+would cost before it starts.
 """
 
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 from .groups import GroupType, OutOfRange
 from .polyring import IntPoly
@@ -22,7 +23,7 @@ DEFAULT_LIMIT = 4096
 # calls (star_census_work, about 0.5-1.6 microseconds a unit there), so
 # either runs for at most a few seconds.  Both admit the whole acceptance
 # family, whose cover costs stop at 6,000,000 and whose work bounds stop at
-# 5,368; the queries they refuse would run for minutes or, like the 4.9e11
+# 70,438; the queries they refuse would run for minutes or, like the 4.9e11
 # subgroups of (1^12) at p=2, never finish.
 CENSUS_COST_LIMIT = 20_000_000
 STAR_COST_LIMIT = 10_000_000
@@ -38,10 +39,6 @@ class CensusTooCostly(GroupTooLarge):
 
 class PrimalityUndecided(ValueError):
     """Raised when a prime is too large for the exact primality test."""
-
-
-class RankTooLarge(ValueError):
-    """Raised when the matrix census is asked for a rank it cannot handle."""
 
 
 class CensusResult:
@@ -209,21 +206,6 @@ def _cover_census(mods, p):
         level = above
 
 
-def star_census_cost(t, prime):
-    """Number of candidate matrices: every residue of every entry.
-
-    Column j contributes j - 1 off-diagonal residues mod p**i_j, so the count
-    is a product of geometric sums.  The census solves for its entries and
-    never enumerates these candidates; the number only sizes a family, as
-    verify's matrix-census family is capped by it.
-    """
-    t = GroupType(t)
-    total = 1
-    for j, a in enumerate(t.parts):
-        total *= sum(prime ** (j * i) for i in range(0, a + 1))
-    return total
-
-
 def _star_cells(k):
     """The off-diagonal cells of a k-by-k matrix, in the order they are filled.
 
@@ -285,13 +267,12 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     entries above a diagonal entry run over residues mod p**i_j.  A matrix is
     kept when each excess exponent divides the matching connected minor.
     Each such test is linear in the entry it tests, so the admissible values
-    of an entry are solved for, not tried one by one; see _fillings.
+    of an entry are solved for, not tried one by one, and each minor comes
+    from the minors below it by one row expansion; see _fillings.  There is
+    no rank cap: the order limit and the work bound decide admission.
     """
     t = GroupType(t)
     _check_prime(prime)
-    if t.rank > 4:
-        raise RankTooLarge(
-            "matrix census supports rank at most 4, got %d" % t.rank)
     m = t.weight
     _check_order(prime, m, limit)
     work = star_census_work(t, prime)
@@ -301,83 +282,87 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
             "over the limit %d" % (t, prime, work, STAR_COST_LIMIT))
     k = t.rank
     parts = t.parts
-    cells = _star_cells(k)
+    power = [prime ** e for e in range(m + 1)]
+    # what a cell needs that no type vector changes: its row expansion's
+    # rows q = j-1, ..., r+1, and the sign (-1)**(j-r-1) of the entry's term
+    cells = [(r, j, range(j - 1, r, -1)) for r, j in _star_cells(k)]
+    signs = [(-1) ** (j - r - 1) for r, j, _ in cells]
+    # one matrix and one table of minors, minors[j][r] = X(r, j), serve every
+    # type vector: a search reads only what it has set on its way down
+    mat = [[0] * k for _ in range(k)]
+    minors = [[0] * k for _ in range(k)]
     counts = [0] * (m + 1)
     for ivec in product(*[range(0, a + 1) for a in parts]):
         if not cells:
             counts[m - sum(ivec)] += 1
             continue
-        mat = [[0] * k for _ in range(k)]
         for j in range(k):
-            mat[j][j] = prime ** ivec[j]
-        steps = []
+            mat[j][j] = power[ivec[j]]
+        sums = [0, *accumulate(ivec)]
         solves = []
-        for r, j in cells:
-            excess = ivec[j] + sum(ivec[r:j]) - parts[r]
+        for (r, j, _), sign in zip(cells, signs):
+            s = sums[j] - sums[r + 1]
+            excess = sums[j + 1] - sums[r] - parts[r]
+            scale = sign * power[s]
             if excess <= 0:
-                steps.append(1)
-                solves.append(None)
-                continue
-            s = sum(ivec[r + 1:j])
-            steps.append(prime ** max(0, excess - s))
-            # a 1-by-1 minor is the entry itself: its constant term is 0
-            solves.append(None if j == r + 1 else (
-                prime ** min(s, excess), (-1) ** (j - r)))
-        counts[m - sum(ivec)] += _fillings(mat, cells, steps, solves, 0)
+                solves.append((1, 0, scale))
+            else:
+                solves.append((power[max(0, excess - s)], power[min(s, excess)], scale))
+        counts[m - sums[k]] += _fillings(mat, minors, cells, solves, 0)
     if counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
         raise RuntimeError(
             "matrix census invariants violated for %s at p=%d: %s" % (t, prime, counts))
     return CensusResult(prime, t, counts)
 
 
-def _constant(mat, r, j):
-    """The minor on rows r..j-1 and columns r+1..j at mat[r][j] = 0, for
-    j - r = 2 or 3; the entries below the diagonal are 0.
-    """
-    a, b = mat[r], mat[r + 1]
-    if j == r + 2:
-        return a[r + 1] * b[j]
-    c = mat[r + 2]
-    return a[r + 1] * (b[r + 2] * c[j] - b[j] * c[r + 2]) - a[r + 2] * b[r + 1] * c[j]
-
-
-def _fillings(mat, cells, steps, solves, i):
+def _fillings(mat, minors, cells, solves, i):
     """Number of ways to fill cells[i:] so that every minor test passes.
 
-    Cell (r, j) with v in it is tested when its excess
-    e = i_j + i_r + ... + i_(j-1) - a_r is positive: p**e must divide the
-    minor on rows r..j-1 and columns r+1..j.  Expanding that minor along
-    row r, v sits only in its top-right corner, whose complementary minor
-    is upper-triangular with diagonal p**i_(r+1), ..., p**i_(j-1).  So the
-    minor is (-1)**(j-r-1) * p**s * v + c, with s = i_(r+1) + ... + i_(j-1)
-    and c the minor at v = 0, and the test is a linear congruence in v:
+    Let X(r, j) be the connected minor on rows r..j-1 and columns r+1..j,
+    with X(j, j) = 1.  Expanding it along row r, the entry m(r, q) sits in
+    the corner of a block-triangular minor: the rows r+1..q-1 give the
+    diagonal p**i_(r+1), ..., p**i_(q-1) and the rest is X(q, j), so
+        X(r, j) = sum over q = r+1..j of
+                  (-1)**(q-r-1) * m(r, q) * p**(i_(r+1) + ... + i_(q-1)) * X(q, j).
+    The loop below sums the terms q < j in Horner form; they hold entries of
+    earlier columns and minors X(q, j) of cells below in this column, all set
+    already.  That sum is c, and the q = j term is scale * v, with v in the
+    cell and scale = (-1)**(j-r-1) * p**s, s = i_(r+1) + ... + i_(j-1).  Each
+    value set writes its X(r, j) to minors[j][r] for the cells above; row 0's
+    is never read.
+
+    Cell (r, j) is tested when its excess e = i_j + i_r + ... + i_(j-1) - a_r
+    is positive: p**e must divide X(r, j) = scale * v + c, a linear
+    congruence in v:
     - with g = min(s, e), p**g must divide c, or no v passes;
     - if s >= e, every v passes;
-    - else v = (-1)**(j-r) * c / p**s mod p**(e-s), one residue.
+    - else v = -c / scale mod p**(e-s), one residue.
     So when p**g divides c, the passing v in range(p**i_j) are
-    range(start, p**i_j, steps[i]), where steps[i] = p**max(0, e - s) and
-    e - s = i_j + i_r - a_r is at most i_j; there are p**i_j // steps[i] of
-    them, whatever start is.  solves[i] holds p**g and (-1)**(j-r), or None when c is 0 (a
-    1-by-1 minor) or the cell is untested.
+    range(start, p**i_j, step), where step = p**max(0, e - s) and
+    e - s = i_j + i_r - a_r is at most i_j; there are p**i_j // step of
+    them, whatever start is.  solves[i] holds step, p**g (0 when the cell
+    is untested) and scale.
     """
-    r, j = cells[i]
-    step = steps[i]
+    r, j, inner = cells[i]
+    step, divisor, scale = solves[i]
+    row = mat[r]
+    col = minors[j]
+    c = 0
+    for q in inner:
+        c = row[q] * col[q] - mat[q][q] * c
     start = 0
-    solve = solves[i]
-    if solve is not None:
-        divisor, sign = solve
-        c = _constant(mat, r, j)
+    if divisor:
         if c % divisor:
             return 0
-        start = sign * (c // divisor) % step
+        start = -c // scale % step
     top = mat[j][j]
     if i == len(cells) - 1:
         return top // step
-    row = mat[r]
     total = 0
     for v in range(start, top, step):
         row[j] = v
-        total += _fillings(mat, cells, steps, solves, i + 1)
+        col[r] = c + scale * v
+        total += _fillings(mat, minors, cells, solves, i + 1)
     return total
 
 

@@ -230,10 +230,6 @@ class IntPoly:
         """Ascending coefficient list; the zero polynomial is []."""
         return list(self._coeffs)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, IntPoly):

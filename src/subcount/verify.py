@@ -16,8 +16,6 @@ from .groups import GroupType
 from .recurrence import count_hironaka, count_stehling, total_count
 
 SERIES_BOUNDS = (8, 8, 8)
-STAR_ORDER_LIMIT = 512
-STAR_COST_GATE = 200000
 
 # route: the candidate's case or name; query: the arguments of the entry's where
 Comparison = namedtuple("Comparison", "route query got want")
@@ -28,14 +26,14 @@ Result = namedtuple("Result", "check family passed counterexample compared secon
 
 
 class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max chain_max "
-                                "census_pairs star_pairs")):
+                                "census_pairs")):
     """Family bounds of one run; census pairs of None are derived from the rest."""
 
     @classmethod
     def of(cls, max_rank=4, max_part=5, primes=(2, 3), oracle_limit=256, **bounds):
         """The bounds of ``subcount verify``; any of the other fields may be given."""
         derived = dict(m4_max=min(3, max_part), chain_max=min(3, max_part),
-                       census_pairs=None, star_pairs=None)
+                       census_pairs=None)
         derived.update(bounds)
         return cls(max_rank, max_part, tuple(primes), oracle_limit, **derived)
 
@@ -44,7 +42,6 @@ class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max ch
     any_part = property(lambda s: min(3, s.max_part))
     rank4_part = property(lambda s: min(4, s.max_part))
     elementary_rank = property(lambda s: max(6, s.max_rank))
-    star_limit = property(lambda s: min(s.oracle_limit, STAR_ORDER_LIMIT))
 
 
 def _types(max_rank, max_part, min_rank=1):
@@ -69,12 +66,9 @@ def _census_pairs(s):
             and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT]
 
 
-def _star_pairs(s):
-    if s.star_pairs is not None:
-        return s.star_pairs
-    return [(t, p) for t, p in _census_pairs(s) if len(t) <= 4
-            and p ** sum(t) <= s.star_limit
-            and oracle.star_census_cost(t, p) <= STAR_COST_GATE]
+def _matrix_pairs(s):
+    return [(t, p) for t, p in _census_pairs(s)
+            if oracle.star_census_work(t, p) <= oracle.STAR_COST_LIMIT]
 
 
 def _closed(family, queries, *routes, partial=False):
@@ -166,9 +160,9 @@ REGISTRY = {
         "cover census", _census_pairs,
         lambda s, t, p: oracle.subgroup_census(t, p, limit=s.oracle_limit)),
     "census-star": _census(
-        lambda s: "matrix census vs recurrence at p on %d pairs with order <= %d" % (
-            len(_star_pairs(s)), s.star_limit),
-        "matrix census", _star_pairs,
+        lambda s: "matrix census vs recurrence at p on %d pairs with order <= %d, "
+        "work <= %d" % (len(_matrix_pairs(s)), s.oracle_limit, oracle.STAR_COST_LIMIT),
+        "matrix census", _matrix_pairs,
         lambda s, t, p: oracle.star_matrix_census(t, p, limit=s.oracle_limit)),
     "chain-totals": _totals(
         "chains 1 <= w <= x <= y <= z <= {s.chain_max}", "rank4_total_ccl",

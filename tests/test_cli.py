@@ -248,6 +248,17 @@ class TestVerify:
         assert "FAIL census-closure: no comparison made: the family is empty" in lines
         assert "FAIL census-star: no comparison made: the family is empty" in lines
 
+    def test_matrix_census_compares_the_cover_census_family(self):
+        # the matrix census has no rank cap: at ranks up to 6 it runs on all
+        # 32 pairs the cover census does, rank-5 and rank-6 types among them
+        scale = verify.Scale.of(max_rank=6, max_part=2)
+        closure = verify.run("census-closure", scale)
+        star = verify.run("census-star", scale)
+        assert closure.passed and star.passed, (closure.counterexample, star.counterexample)
+        assert star.compared == closure.compared == 177
+        assert len({c.query[:2] for c in star.records}) == 32
+        assert {len(c.query[0]) for c in star.records} == set(range(1, 7))
+
     def test_series_texts_follow_bounds(self, monkeypatch):
         monkeypatch.setattr(verify, "SERIES_BOUNDS", (4, 4, 4))
         for name in ("series-full", "series-split", "series-staircase"):
