@@ -30,6 +30,8 @@ def _parse_primes(text):
         raise ValueError("--primes must be a comma-separated list of ints")
     if not primes:
         raise ValueError("--primes needs at least one prime")
+    if len(set(primes)) < len(primes):
+        raise ValueError("--primes repeats a prime: %s" % text)
     for p in primes:
         oracle._check_prime(p)
     return primes
@@ -57,42 +59,6 @@ def resolve_closed(t, b):
         if result.covered:
             return result
     return closedforms.anyrank_case1(t, b)
-
-
-# ---------------------------------------------------------------------------
-# verification battery: the checks live in subcount.verify
-# ---------------------------------------------------------------------------
-
-class VerifyReport:
-    """Outcome of the verification battery, one record per check."""
-
-    def __init__(self, results):
-        self.records = [r._asdict() for r in results]
-        self.passed = all(r["passed"] for r in self.records)
-
-    def failures(self):
-        return [r for r in self.records if not r["passed"]]
-
-    def to_json(self):
-        # timings are excluded so the JSON output is reproducible
-        keys = ("check", "family", "passed", "counterexample", "compared")
-        return {"checks": [{k: r[k] for k in keys} for r in self.records],
-                "passed": self.passed}
-
-    def lines(self):
-        out = ["PASS %s (%s)" % (r["check"], r["family"]) if r["passed"]
-               else "FAIL %s: %s" % (r["check"], r["counterexample"])
-               for r in self.records]
-        bad = len(self.failures())
-        out.append("%d of %d checks failed" % (bad, len(out)) if bad
-                   else "all %d checks passed" % len(out))
-        return out
-
-
-def run_verify(max_rank=4, max_part=5, primes=(2, 3), oracle_limit=256):
-    """Run every registry entry on families bounded by the arguments."""
-    return VerifyReport(verify.run_all(
-        verify.Scale.of(max_rank, max_part, primes, oracle_limit)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +158,24 @@ def cmd_table(args):
 
 
 def cmd_verify(args):
-    report = run_verify(args.max_rank, args.max_part, args.primes, args.oracle_limit)
+    results = verify.run_all(verify.Scale.of(args.max_rank, args.max_part, args.primes,
+                                             args.oracle_limit))
+    passed = all(r.passed for r in results)
     if args.json:
-        print(_json_dump(report.to_json()))
+        # timings are excluded so the JSON output is reproducible
+        keys = ("check", "family", "passed", "counterexample", "compared")
+        print(_json_dump({"checks": [{k: getattr(r, k) for k in keys} for r in results],
+                          "passed": passed}))
     else:
-        for line in report.lines():
-            print(line)
-    for r in report.records:
-        print("  %-28s %6.2fs" % (r["check"], r["seconds"]), file=sys.stderr)
-    return 0 if report.passed else 1
+        for r in results:
+            print("PASS %s (%s)" % (r.check, r.family) if r.passed
+                  else "FAIL %s: %s" % (r.check, r.counterexample))
+        bad = sum(not r.passed for r in results)
+        print("%d of %d checks failed" % (bad, len(results)) if bad
+              else "all %d checks passed" % len(results))
+    for r in results:
+        print("  %-28s %6.2fs" % (r.check, r.seconds), file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _by_query(result):

@@ -50,7 +50,7 @@ class CensusResult:
         self.prime = prime
         self.group_type = GroupType(group_type)
         self.counts = tuple(counts)
-        self.total = sum(counts)
+        self.total = sum(self.counts)
 
     def to_json(self):
         return {

@@ -1,14 +1,14 @@
 """Verification registry: every cross-check as one entry, run by one runner.
 
-An entry declares its family text, built from a ``Scale``, a generator of
-comparisons of a candidate route against a reference route, and the text of
-a comparison's query.  ``subcount verify``, ``subcount toth`` and the
+An entry declares its family text, its queries at a ``Scale``, a probe that
+compares a candidate route against a reference route on one query, and the
+text of a comparison's query.  ``subcount verify``, ``subcount toth`` and the
 acceptance battery all run these entries, each at its own scale.
 """
 
 import time
 from collections import namedtuple
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from . import closedforms, genfun, oracle
 from .closedforms import CaseId, rank3_applicable_cases
@@ -19,8 +19,9 @@ SERIES_BOUNDS = (8, 8, 8)
 
 # route: the candidate's case or name; query: the arguments of the entry's where
 Comparison = namedtuple("Comparison", "route query got want")
-# family: a format string over the Scale s, or a function of the Scale
-Entry = namedtuple("Entry", "family compare where")
+# family: a format string over the Scale s, the query count n, the series bounds
+# and the oracle module; queries(s): a list; probe(s, *query): its comparisons
+Entry = namedtuple("Entry", "family queries probe where")
 Result = namedtuple("Result", "check family passed counterexample compared seconds "
                                "records")
 
@@ -73,53 +74,41 @@ def _matrix_pairs(s):
 
 def _closed(family, queries, *routes, partial=False):
     """Closed forms vs count_hironaka; a partial catalog skips uncovered queries."""
-    def compare(s):
-        for t, b in queries(s):
-            for route in routes:
-                res = route(t, b)
-                if res.covered or not partial:
-                    yield Comparison(res.case, (t, b), res.value, count_hironaka(t, b))
-    return Entry(family, compare, _at_type)
+    def probe(s, t, b):
+        for route in routes:
+            res = route(t, b)
+            if res.covered or not partial:
+                yield Comparison(res.case, (t, b), res.value, count_hironaka(t, b))
+    return Entry(family, queries, probe, _at_type)
 
 
-def _census(family, route, pairs, census):
+def _census(family, route, queries, census):
     """A census at p vs the recurrence polynomial evaluated at p."""
-    def compare(s):
-        for t, p in pairs(s):
-            for b, got in enumerate(census(s, t, p).counts):
-                yield Comparison(route, (t, p, b), got, count_hironaka(t, b).eval_at(p))
-    return Entry(family, compare, lambda t, p, b: "type %s p=%d b=%d" % (
+    def probe(s, t, p):
+        for b, got in enumerate(census(s, t, p).counts):
+            yield Comparison(route, (t, p, b), got, count_hironaka(t, b).eval_at(p))
+    return Entry(family, queries, probe, lambda t, p, b: "type %s p=%d b=%d" % (
         GroupType(t), p, b))
 
 
-def _totals(family, route, keys, closed, leading, label):
+def _totals(family, route, queries, closed, leading, label):
     """A closed total vs total_count, then its degree, leading coefficient and signs."""
-    def compare(s):
-        for key, parts in keys(s):
-            got = closed(key)
-            coeff, degree = leading(key)
-            yield Comparison(route, (key,), got, total_count(parts))
-            yield Comparison("degree of " + route, (key,), got.degree(), degree)
-            yield Comparison("leading coefficient of " + route, (key,),
-                             got.leading_coeff(), coeff)
-            yield Comparison("negative coefficients of " + route, (key,),
-                             [c for c in got.coeffs if c < 0], [])
-    return Entry(family, compare, lambda key: label % (key,))
-
-
-def _over(family, queries, probe):
-    """A property of each query; probe returns its comparisons."""
-    def compare(s):
-        for t, b in queries(s):
-            yield from probe(t, b)
-    return Entry(family, compare, _at_type)
+    def probe(s, key, parts):
+        got = closed(key)
+        coeff, degree = leading(key)
+        yield Comparison(route, (key,), got, total_count(parts))
+        yield Comparison("degree of " + route, (key,), got.degree(), degree)
+        yield Comparison("leading coefficient of " + route, (key,),
+                         got.leading_coeff(), coeff)
+        yield Comparison("negative coefficients of " + route, (key,),
+                         [c for c in got.coeffs if c < 0], [])
+    return Entry(family, queries, probe, lambda key: label % (key,))
 
 
 def _library(family, route, where, verifier):
     """A library verifier, which returns what it found wrong; where() names its query."""
-    def compare(s):
-        yield Comparison(route, (), verifier(), [])
-    return Entry(family, compare, where)
+    return Entry(family, lambda s: [()],
+                 lambda s: [Comparison(route, (), verifier(), [])], where)
 
 
 def _truncation():
@@ -127,7 +116,7 @@ def _truncation():
     return "truncation %s" % (SERIES_BOUNDS,)
 
 
-def _overlapping_cases(t, b):
+def _overlapping_cases(s, t, b):
     cases = rank3_applicable_cases(t, b)
     want = closedforms.rank3_with_case(t, b, cases[0]).value
     return [Comparison("rank3 Case %d vs Case %d" % (k, cases[0]), (t, b),
@@ -147,21 +136,21 @@ REGISTRY = {
         "ranks 2..{s.any_rank} with parts <= {s.any_part}, covered order indexes",
         lambda s: _queries(_types(s.any_rank, s.any_part, 2)),
         lambda t, b: closedforms.anyrank_case1(t, b), partial=True),
-    "boundary-agreement": _over(
+    "boundary-agreement": Entry(
         "rank-3 types with parts <= {s.max_part}, all overlapping cases",
-        lambda s: _queries(_types(3, s.max_part, 3)), _overlapping_cases),
+        lambda s: _queries(_types(3, s.max_part, 3)), _overlapping_cases, _at_type),
     "case6-substitution": _library(
         "case-6 table specialized to cases 1-5 and 7-10",
         "rank3 Case 6 substituted", lambda: "cases 1-5 and 7-10", lambda: [
             str(CaseId("rank3", k)) for k in closedforms.verify_case6_specializations()]),
     "census-closure": _census(
-        lambda s: "cover census on %d (type, prime) pairs with order <= %d, cost <= %d"
-        % (len(_census_pairs(s)), s.oracle_limit, oracle.CENSUS_COST_LIMIT),
+        "cover census on {n} (type, prime) pairs with order <= {s.oracle_limit}, "
+        "cost <= {oracle.CENSUS_COST_LIMIT}",
         "cover census", _census_pairs,
         lambda s, t, p: oracle.subgroup_census(t, p, limit=s.oracle_limit)),
     "census-star": _census(
-        lambda s: "matrix census vs recurrence at p on %d pairs with order <= %d, "
-        "work <= %d" % (len(_matrix_pairs(s)), s.oracle_limit, oracle.STAR_COST_LIMIT),
+        "matrix census vs recurrence at p on {n} pairs with order <= {s.oracle_limit}, "
+        "work <= {oracle.STAR_COST_LIMIT}",
         "matrix census", _matrix_pairs,
         lambda s, t, p: oracle.star_matrix_census(t, p, limit=s.oracle_limit)),
     "chain-totals": _totals(
@@ -182,12 +171,12 @@ REGISTRY = {
         "rank-4 types with parts <= {s.rank4_part}, covered order indexes",
         lambda s: _queries(_types(4, s.rank4_part, 4)),
         lambda t, b: closedforms.rank4_partial(t, b), partial=True),
-    "elementary-abelian": _over(
+    "elementary-abelian": Entry(
         "elementary abelian types up to rank {s.elementary_rank}",
         lambda s: _queries([(1,) * d for d in range(s.elementary_rank + 1)]),
-        lambda t, b: [Comparison("gaussian_binomial", (t, b),
-                                 oracle.gaussian_binomial(len(t), b),
-                                 count_hironaka(t, b))]),
+        lambda s, t, b: [Comparison("gaussian_binomial", (t, b),
+                                    oracle.gaussian_binomial(len(t), b),
+                                    count_hironaka(t, b))], _at_type),
     "equal-parts-rank3": _closed(
         "types (m, m, m) with m <= {s.max_part}",
         lambda s: _queries([(m,) * 3 for m in range(1, s.max_part + 1)]),
@@ -201,47 +190,51 @@ REGISTRY = {
         "total counts of (m, m, m, m) with m <= {s.m4_max}", "rank4_mmmm_total",
         lambda s: [(m, (m,) * 4) for m in range(1, s.m4_max + 1)],
         lambda m: closedforms.rank4_mmmm_total(m), lambda m: (1, 4 * m), "m=%d"),
-    "nonnegative-coefficients": _over(
+    "nonnegative-coefficients": Entry(
         "ranks up to {s.max_rank} with parts <= {s.max_part}",
         lambda s: _queries(_types(s.max_rank, s.max_part)),
-        lambda t, b: [Comparison("negative coefficients of count_hironaka", (t, b), [
-            c for c in count_hironaka(t, b).coeffs if c < 0], [])]),
-    "recurrence-pair": _over(
+        lambda s, t, b: [Comparison("negative coefficients of count_hironaka", (t, b), [
+            c for c in count_hironaka(t, b).coeffs if c < 0], [])], _at_type),
+    "recurrence-pair": Entry(
         "ranks up to {s.max_rank} with parts <= {s.max_part}, order indexes -1..m+1",
         lambda s: _queries(_types(s.max_rank, s.max_part), -1, 1),
-        lambda t, b: [Comparison("count_hironaka vs count_stehling", (t, b),
-                                 count_hironaka(t, b), count_stehling(t, b))]),
+        lambda s, t, b: [Comparison("count_hironaka vs count_stehling", (t, b),
+                                    count_hironaka(t, b), count_stehling(t, b))],
+        _at_type),
     "series-full": _library(
-        lambda s: "full rank-2 series at " + _truncation(), "verify_F2 mismatches",
+        "full rank-2 series at truncation {bounds}", "verify_F2 mismatches",
         _truncation, lambda: genfun.verify_F2(SERIES_BOUNDS)[:1]),
     "series-split": _library(
-        lambda s: "sub-series readings at " + _truncation(), "verify_sub_series",
+        "sub-series readings at truncation {bounds}", "verify_sub_series",
         _truncation, _series_split),
     "series-staircase": _library(
-        lambda s: "four-factor product series at " + _truncation(),
+        "four-factor product series at truncation {bounds}",
         "verify_g_product mismatches", _truncation,
         lambda: genfun.verify_g_product(SERIES_BOUNDS)[:1]),
-    "symmetry": _over(
+    "symmetry": Entry(
         "ranks up to {s.max_rank} with parts <= {s.max_part}",
         lambda s: _queries(_types(s.max_rank, s.max_part)),
-        lambda t, b: [Comparison("count_hironaka vs its mirror m-b", (t, b),
-                                 count_hironaka(t, b), count_hironaka(t, sum(t) - b))]),
+        lambda s, t, b: [Comparison("count_hironaka vs its mirror m-b", (t, b),
+                                    count_hironaka(t, b), count_hironaka(t, sum(t) - b))],
+        _at_type),
 }
 
 
 def run(name, scale):
     """Run one entry up to its first mismatch.
 
-    A crash is a failure, not an abort, and so is an entry that compared nothing.
+    The queries are built once, and the family text counts them.  A crash in a
+    probe is a failure, not an abort, and so is an entry that compared nothing.
     """
     entry = REGISTRY[name]
-    family = (entry.family(scale) if callable(entry.family)
-              else entry.family.format(s=scale))
+    start = time.monotonic()
+    queries = entry.queries(scale)
+    family = entry.family.format(s=scale, n=len(queries), bounds=SERIES_BOUNDS,
+                                 oracle=oracle)
     records = []
     counterexample = None
-    start = time.monotonic()
     try:
-        for c in entry.compare(scale):
+        for c in chain.from_iterable(entry.probe(scale, *q) for q in queries):
             records.append(c)
             if c.got != c.want:
                 counterexample = "%s at %s: got %s, want %s" % (

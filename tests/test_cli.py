@@ -10,14 +10,41 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount import closedforms, genfun, verify
-from subcount.cli import main, resolve_closed, run_verify
+from subcount import closedforms, genfun, oracle, verify
+from subcount.cli import main, resolve_closed
 from subcount.groups import GroupType
 from subcount.polyring import ONE, ZERO
 from subcount.recurrence import count_hironaka
 
 SMALL_BATTERY = ("verify", "--max-rank", "3", "--max-part", "2",
                  "--primes", "2", "--oracle-limit", "64")
+
+# every check's family text and comparison count at the smallest two-census scale
+TINY_BATTERY = ("verify", "--max-rank", "2", "--max-part", "2",
+                "--primes", "2", "--oracle-limit", "16")
+TINY_FAMILIES = [
+    ("any-rank-product", "ranks 2..4 with parts <= 2, covered order indexes", 52),
+    ("boundary-agreement", "rank-3 types with parts <= 2, all overlapping cases", 15),
+    ("case6-substitution", "case-6 table specialized to cases 1-5 and 7-10", 1),
+    ("census-closure", "cover census on 5 (type, prime) pairs with order <= 16, "
+     "cost <= 20000000", 17),
+    ("census-star", "matrix census vs recurrence at p on 5 pairs with order <= 16, "
+     "work <= 10000000", 17),
+    ("chain-totals", "chains 1 <= w <= x <= y <= z <= 2", 20),
+    ("closed-rank2", "rank-2 types with parts <= 2, every order index", 12),
+    ("closed-rank3", "rank-3 types with parts <= 2, every order index", 22),
+    ("closed-rank4-intervals", "rank-4 types with parts <= 2, covered order indexes", 26),
+    ("elementary-abelian", "elementary abelian types up to rank 6", 28),
+    ("equal-parts-rank3", "types (m, m, m) with m <= 2", 22),
+    ("equal-parts-rank4", "types (m, m, m, m) with m <= 2, every order index", 14),
+    ("equal-parts-rank4-total", "total counts of (m, m, m, m) with m <= 2", 8),
+    ("nonnegative-coefficients", "ranks up to 2 with parts <= 2", 17),
+    ("recurrence-pair", "ranks up to 2 with parts <= 2, order indexes -1..m+1", 27),
+    ("series-full", "full rank-2 series at truncation (8, 8, 8)", 1),
+    ("series-split", "sub-series readings at truncation (8, 8, 8)", 1),
+    ("series-staircase", "four-factor product series at truncation (8, 8, 8)", 1),
+    ("symmetry", "ranks up to 2 with parts <= 2", 17),
+]
 
 
 def run(capsys, *argv):
@@ -299,13 +326,41 @@ class TestVerify:
         assert result.counterexample == "%s at type (2, 2, 2) b=3: got %s, want %s" % (
             general((2, 2, 2), 3).case, (want + ONE).text(), want.text())
 
-    def test_run_verify_shape(self):
-        report = run_verify(max_rank=2, max_part=2, primes=(2,), oracle_limit=16)
-        assert report.passed
-        assert report.failures() == []
-        names = [r["check"] for r in report.records]
+    def test_run_all_shape(self):
+        results = verify.run_all(verify.Scale.of(max_rank=2, max_part=2, primes=(2,),
+                                                 oracle_limit=16))
+        assert all(r.passed for r in results)
+        assert all(r.records is None for r in results)
+        names = [r.check for r in results]
         assert names == sorted(names)
         assert len(names) >= 15
+
+    def test_family_texts_and_counts(self, capsys):
+        code, out, _ = run(capsys, *TINY_BATTERY, "--json")
+        assert code == 0
+        assert [(c["check"], c["family"], c["compared"])
+                for c in json.loads(out)["checks"]] == TINY_FAMILIES
+
+    def test_census_family_is_priced_once_a_run(self, monkeypatch):
+        calls = {"census_cost": 0, "star_census_work": 0}
+
+        def counted(name):
+            priced = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return priced(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counted(name))
+        scale = verify.Scale.of(oracle_limit=128)
+        # one pricing builds the family, the census's own guard is the other
+        assert verify.run("census-closure", scale).passed
+        assert calls == {"census_cost": 2 * 45, "star_census_work": 0}
+        calls["census_cost"] = 0
+        assert verify.run("census-star", scale).passed
+        assert calls == {"census_cost": 45, "star_census_work": 2 * 45}
 
 
 class TestToth:
@@ -370,6 +425,7 @@ class TestToth:
 
 BAD_INPUT = [
     ("verify", "--primes", "4"),
+    ("verify", "--primes", "2,2"),
     ("verify", "--primes", ","),
     ("verify", "--max-rank", "0"),
     ("verify", "--max-part", "0"),

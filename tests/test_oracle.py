@@ -330,3 +330,8 @@ class TestCensusResult:
         res = CensusResult(2, (1, 1), (1, 3, 1))
         assert res.total == 5
         assert res.counts == (1, 3, 1)
+
+    def test_total_of_a_generator(self):
+        res = CensusResult(2, (1,), (c for c in (1, 1)))
+        assert res.counts == (1, 1)
+        assert res.total == 2
