@@ -7,6 +7,7 @@ from .closedforms import (
     OrderViolation,
     anyrank_case1,
     classify_rank3,
+    gaussian_binomial,
     leading_term_ccl,
     rank2,
     rank3,
@@ -23,7 +24,6 @@ from .oracle import (
     CensusTooCostly,
     GroupTooLarge,
     PrimalityUndecided,
-    gaussian_binomial,
     star_matrix_census,
     subgroup_census,
 )

@@ -10,6 +10,7 @@ prod_{i<rank} (p**i - 1).  A division remainder means a table is wrong, and
 the error says which case.  The classifiers that pick a case live here too.
 """
 
+from collections import namedtuple
 from functools import cache
 
 from .groups import GroupType, OutOfRange, RankMismatch
@@ -31,65 +32,44 @@ class FormulaBug(ArithmeticError):
         self.remainder = remainder
 
 
-class FormulaResult:
+class FormulaResult(namedtuple("FormulaResult", "value case covered")):
     """Outcome of a closed-form lookup.
 
     covered is False when no case of the family applies; value is then None.
     """
 
-    __slots__ = ("value", "case", "covered")
-
-    def __init__(self, value, case, covered):
-        self.value = value
-        self.case = case
-        self.covered = covered
+    __slots__ = ()
 
     @classmethod
     def miss(cls):
         return cls(None, None, False)
 
-    def __repr__(self):
-        return "FormulaResult(%r, %r, %r)" % (self.value, self.case, self.covered)
 
-
-class CaseId:
+class CaseId(namedtuple("CaseId", "family case")):
     """Which closed-form case produced a value."""
 
-    __slots__ = ("family", "case")
+    __slots__ = ()
 
-    def __init__(self, family, case):
+    def __new__(cls, family, case):
         if family not in CASE_RANGES:
             raise ValueError("unknown family tag %r" % (family,))
         if not 1 <= case <= CASE_RANGES[family]:
             raise ValueError("case %d out of range for %s" % (case, family))
-        self.family = family
-        self.case = case
-
-    def __eq__(self, other):
-        if isinstance(other, CaseId):
-            return (self.family, self.case) == (other.family, other.case)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("CaseId", self.family, self.case))
-
-    def __repr__(self):
-        return "CaseId(%r, %r)" % (self.family, self.case)
+        return tuple.__new__(cls, (family, case))
 
     def __str__(self):
         return "%s Case %d" % (self.family, self.case)
 
 
-class LinForm:
+class LinForm(namedtuple("LinForm", "coeffs const")):
     """Integer-linear expression in a1, a2, a3 and b, plus a constant."""
 
     VARS = ("a1", "a2", "a3", "b")
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ()
 
-    def __init__(self, coeffs=(0, 0, 0, 0), const=0):
-        self.coeffs = tuple(coeffs)
-        self.const = const
+    def __new__(cls, coeffs=(0, 0, 0, 0), const=0):
+        return tuple.__new__(cls, (tuple(coeffs), const))
 
     @classmethod
     def of(cls, const=0, **named):
@@ -120,23 +100,6 @@ class LinForm:
             if c:
                 total += c * env[name]
         return total
-
-    def __eq__(self, other):
-        if isinstance(other, LinForm):
-            return self.coeffs == other.coeffs and self.const == other.const
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs, self.const))
-
-    def __repr__(self):
-        parts = []
-        for name, c in zip(self.VARS, self.coeffs):
-            if c:
-                parts.append("%+d*%s" % (c, name))
-        if self.const or not parts:
-            parts.append("%+d" % self.const)
-        return "".join(parts).lstrip("+")
 
 
 L = LinForm.of
@@ -200,22 +163,21 @@ def _divide(numerator, denominator, case):
         raise FormulaBug(case, exc.remainder) from exc
 
 
-def _evaluate(family, case_no, parts, b):
-    """Case case_no of a family's catalog at the ascending parts and b."""
-    case = CaseId(family, case_no)
+def _evaluate(case, parts, b):
+    """A case of its family's catalog at the ascending parts and b."""
     a1, a2, a3 = (*parts, 0, 0)[:3]
-    numerator = assemble_table(CATALOGS[family][case_no],
+    numerator = assemble_table(CATALOGS[case.family][case.case],
                                {"a1": a1, "a2": a2, "a3": a3, "b": b})
     return FormulaResult(
         _divide(numerator, standard_denominator(len(parts) - 1), case), case, True)
 
 
 def _of_rank(t, rank):
-    """The parts of t, which must have the given rank."""
+    """t as a GroupType, which must have the given rank."""
     t = GroupType(t)
     if t.rank != rank:
         raise RankMismatch("expected a rank-%d type, got rank %d" % (rank, t.rank))
-    return t.parts
+    return t
 
 
 def _check_b(b, m):
@@ -256,7 +218,7 @@ def classify_rank2(t, b):
 
 def rank2(t, b):
     """Closed-form count for a rank-2 type; covers every b in [0, m]."""
-    return _evaluate("rank2", classify_rank2(t, b).case, GroupType(t).parts, b)
+    return _evaluate(classify_rank2(t, b), GroupType(t), b)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +310,7 @@ def classify_rank3(t, b):
 
 def rank3(t, b):
     """Closed-form count for a rank-3 type; covers every b in [0, m]."""
-    return rank3_with_case(t, b, classify_rank3(t, b).case)
+    return _evaluate(classify_rank3(t, b), _of_rank(t, 3), b)
 
 
 def rank3_with_case(t, b, case_no):
@@ -357,7 +319,7 @@ def rank3_with_case(t, b, case_no):
     The caller is responsible for picking a case whose interval admits
     (t, b); boundary tests use this to compare overlapping cases.
     """
-    return _evaluate("rank3", case_no, _of_rank(t, 3), b)
+    return _evaluate(CaseId("rank3", case_no), _of_rank(t, 3), b)
 
 
 # substitutions that specialize the case-6 table to each other case
@@ -418,7 +380,7 @@ MMM_TABLES[1] = RANK3_TABLES[1]
 
 def rank3_mmm(m, b):
     """Closed-form count for the type (m, m, m)."""
-    return _evaluate("rank3-mmm", _equal_part_case(m, b, 3), (m,) * 3, b)
+    return _evaluate(CaseId("rank3-mmm", _equal_part_case(m, b, 3)), (m,) * 3, b)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +460,7 @@ def rank4_partial(t, b):
         case_no = _rank4_interval_case(parts, b)
     if case_no is None:
         return FormulaResult.miss()
-    return _evaluate("rank4-partial", case_no, parts, b)
+    return _evaluate(CaseId("rank4-partial", case_no), parts, b)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +541,7 @@ CASE_RANGES = {**{family: len(tables) for family, tables in CATALOGS.items()},
 
 def rank4_mmmm_b(m, b):
     """Closed-form count for the type (m, m, m, m) at order index b."""
-    return _evaluate("rank4-mmmm", _equal_part_case(m, b, 4), (m,) * 4, b)
+    return _evaluate(CaseId("rank4-mmmm", _equal_part_case(m, b, 4)), (m,) * 4, b)
 
 
 def rank4_mmmm_total(m):
@@ -645,20 +607,31 @@ def leading_term_ccl(w, x, y, z):
 # any rank, small order index: a single product formula
 # ---------------------------------------------------------------------------
 
+def gaussian_binomial(d, b):
+    """The p-binomial coefficient [d choose b] as a polynomial."""
+    if not 0 <= b <= d:
+        raise OutOfRange("need 0 <= b <= d, got b=%d d=%d" % (b, d))
+    value = IntPoly.one()
+    for i in range(1, b + 1):
+        value = value * (IntPoly.term(1, d - b + i) - 1)
+        value = value.exact_div(IntPoly.term(1, i) - 1)
+    return value
+
+
 def anyrank_case1(t, b):
-    """Product formula valid for b below the smallest part (or mirrored)."""
+    """Product formula valid for b below the smallest part (or mirrored).
+
+    The product is the p-binomial [b + d - 1 choose d - 1], d = max(rank, 1).
+    """
     t = GroupType(t)
     m = t.weight
     _check_b(b, m)
-    a1 = t.parts[0] if t.parts else 0
+    a1 = t[0] if t else 0
     if b <= a1:
         case = CaseId("anyrank", 1)
     elif b >= m - a1:
         case, b = CaseId("anyrank", 2), m - b
     else:
         return FormulaResult.miss()
-    value = ONE
-    for i in range(2, t.rank + 1):
-        value = _divide(value * (IntPoly.term(1, b + i - 1) - 1),
-                        IntPoly.term(1, i - 1) - 1, case)
-    return FormulaResult(value, case, True)
+    d = max(t.rank, 1)
+    return FormulaResult(gaussian_binomial(b + d - 1, d - 1), case, True)

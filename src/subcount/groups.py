@@ -18,15 +18,18 @@ class OutOfRange(ValueError):
     """Raised when an index lies outside its documented range."""
 
 
-class GroupType:
-    """Canonical type of a finite abelian p-group."""
+class GroupType(tuple):
+    """Canonical type of a finite abelian p-group: a tuple of its ascending parts.
 
-    __slots__ = ("_parts",)
+    It is an immutable value and equals the plain tuple of its ascending
+    positive parts, so GroupType((2, 1)) == (1, 2).
+    """
 
-    def __init__(self, parts=()):
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
         if isinstance(parts, GroupType):
-            self._parts = parts._parts
-            return
+            return parts
         cleaned = []
         for a in parts:
             if isinstance(a, bool) or not isinstance(a, int):
@@ -36,44 +39,30 @@ class GroupType:
             if a > 0:
                 cleaned.append(a)
         cleaned.sort()
-        self._parts = tuple(cleaned)
+        return tuple.__new__(cls, cleaned)
 
     @property
     def parts(self):
         """Ascending tuple of positive parts."""
-        return self._parts
+        return tuple(self)
 
     @property
     def rank(self):
-        return len(self._parts)
+        return len(self)
 
     @property
     def weight(self):
         """Total exponent m: the group order is p**m."""
-        return sum(self._parts)
+        return sum(self)
 
     def descending(self):
-        return tuple(reversed(self._parts))
+        return self[::-1]
 
     def to_json(self):
-        return list(self._parts)
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self):
-        return len(self._parts)
-
-    def __eq__(self, other):
-        if isinstance(other, GroupType):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("GroupType", self._parts))
+        return list(self)
 
     def __repr__(self):
-        return "GroupType(%r)" % (self._parts,)
+        return "GroupType(%r)" % (tuple(self),)
 
     def __str__(self):
         return "(" + ", ".join(str(a) for a in self.descending()) + ")"

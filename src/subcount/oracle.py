@@ -9,10 +9,10 @@ routes is meaningful evidence; the recurrence only predicts what a census
 would cost before it starts.
 """
 
+from collections import namedtuple
 from itertools import accumulate, chain, product
 
-from .groups import GroupType, OutOfRange
-from .polyring import IntPoly
+from .groups import GroupType
 from .recurrence import total_count
 
 DEFAULT_LIMIT = 4096
@@ -41,16 +41,17 @@ class PrimalityUndecided(ValueError):
     """Raised when a prime is too large for the exact primality test."""
 
 
-class CensusResult:
+class CensusResult(namedtuple("CensusResult", "prime group_type counts")):
     """Counts of subgroups of each order p**b, for one type at one prime."""
 
-    __slots__ = ("prime", "group_type", "counts", "total")
+    __slots__ = ()
 
-    def __init__(self, prime, group_type, counts):
-        self.prime = prime
-        self.group_type = GroupType(group_type)
-        self.counts = tuple(counts)
-        self.total = sum(self.counts)
+    def __new__(cls, prime, group_type, counts):
+        return tuple.__new__(cls, (prime, GroupType(group_type), tuple(counts)))
+
+    @property
+    def total(self):
+        return sum(self.counts)
 
     def to_json(self):
         return {
@@ -59,15 +60,6 @@ class CensusResult:
             "counts": list(self.counts),
             "total": self.total,
         }
-
-    def __eq__(self, other):
-        if isinstance(other, CensusResult):
-            return (self.prime, self.group_type, self.counts) == (
-                other.prime, other.group_type, other.counts)
-        return NotImplemented
-
-    def __repr__(self):
-        return "CensusResult(%r, %r, %r)" % (self.prime, self.group_type, self.counts)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -364,14 +356,3 @@ def _fillings(mat, minors, cells, solves, i):
         col[r] = c + scale * v
         total += _fillings(mat, minors, cells, solves, i + 1)
     return total
-
-
-def gaussian_binomial(d, b):
-    """The p-binomial coefficient [d choose b] as a polynomial."""
-    if not 0 <= b <= d:
-        raise OutOfRange("need 0 <= b <= d, got b=%d d=%d" % (b, d))
-    value = IntPoly.one()
-    for i in range(1, b + 1):
-        value = value * (IntPoly.term(1, d - b + i) - 1)
-        value = value.exact_div(IntPoly.term(1, i) - 1)
-    return value

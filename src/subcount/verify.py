@@ -8,7 +8,7 @@ acceptance battery all run these entries, each at its own scale.
 
 import time
 from collections import namedtuple
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, groupby
 
 from . import closedforms, genfun, oracle
 from .closedforms import CaseId, rank3_applicable_cases
@@ -46,13 +46,23 @@ class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max ch
 
 
 def _types(max_rank, max_part, min_rank=1):
-    return [t for rank in range(min_rank, max_rank + 1)
+    # built once as GroupType, so no probe of the family re-checks the parts
+    return [GroupType(t) for rank in range(min_rank, max_rank + 1)
             for t in combinations_with_replacement(range(1, max_part + 1), rank)]
 
 
 def _queries(types, lo=0, hi=0):
-    """Every (t, b) with b from lo to the weight of t plus hi."""
-    return [(t, b) for t in types for b in range(lo, sum(t) + 1 + hi)]
+    """Every (t, b) with b from lo to the weight of t plus hi, smallest first.
+
+    Queries run by weight, then rank, then b, ties broken by parts, so the
+    first mismatch the runner stops at is the smallest counterexample.
+    """
+    queries = []
+    types = sorted(types, key=lambda t: (sum(t), len(t), t))
+    for (weight, _), group in groupby(types, key=lambda t: (sum(t), len(t))):
+        group = list(group)
+        queries += [(t, b) for b in range(lo, weight + 1 + hi) for t in group]
+    return queries
 
 
 def _at_type(t, b):
@@ -175,7 +185,7 @@ REGISTRY = {
         "elementary abelian types up to rank {s.elementary_rank}",
         lambda s: _queries([(1,) * d for d in range(s.elementary_rank + 1)]),
         lambda s, t, b: [Comparison("gaussian_binomial", (t, b),
-                                    oracle.gaussian_binomial(len(t), b),
+                                    closedforms.gaussian_binomial(len(t), b),
                                     count_hironaka(t, b))], _at_type),
     "equal-parts-rank3": _closed(
         "types (m, m, m) with m <= {s.max_part}",

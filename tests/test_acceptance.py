@@ -54,8 +54,7 @@ def census_family(cost_caps):
     for p, bound in sorted(CENSUS_WEIGHT_BOUND.items()):
         for parts in _partitions_up_to(bound):
             t = GroupType(parts)
-            cost = total_count(t).eval_at(p) * p ** t.weight
-            if cost <= cost_caps[p]:
+            if oracle.census_cost(t, p) <= cost_caps[p]:
                 family.append((t, p))
     return family
 

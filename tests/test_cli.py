@@ -326,6 +326,20 @@ class TestVerify:
         assert result.counterexample == "%s at type (2, 2, 2) b=3: got %s, want %s" % (
             general((2, 2, 2), 3).case, (want + ONE).text(), want.text())
 
+    def test_counterexample_is_the_smallest(self, monkeypatch):
+        # (1, 1) is lighter than (5), though the rank-1 types come first by rank
+        stehling = verify.count_stehling
+
+        def perturbed(t, b):
+            got = stehling(t, b)
+            return got + ONE if tuple(t) in ((5,), (1, 1)) and b == 1 else got
+
+        monkeypatch.setattr(verify, "count_stehling", perturbed)
+        result = verify.run("recurrence-pair", verify.Scale.of())
+        assert not result.passed
+        assert result.counterexample.startswith(
+            "count_hironaka vs count_stehling at type (1, 1) b=1: ")
+
     def test_run_all_shape(self):
         results = verify.run_all(verify.Scale.of(max_rank=2, max_part=2, primes=(2,),
                                                  oracle_limit=16))

@@ -1,11 +1,16 @@
-"""Group types and the rank-3 case classifier."""
+"""Group types, the rank-3 case classifier and the immutable value types."""
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from subcount.closedforms import (
-    CASE_RANGES, CaseId, classify_rank3, rank3_applicable_cases,
+    CASE_RANGES, CaseId, FormulaResult, LinForm, classify_rank3, rank2,
+    rank3_applicable_cases,
 )
 from subcount.groups import GroupType, NegativePart, OutOfRange, RankMismatch
+from subcount.oracle import CensusResult
 
 
 types3 = st.lists(st.integers(1, 6), min_size=3, max_size=3).map(GroupType)
@@ -114,3 +119,43 @@ class TestClassifier:
             classify_rank3(GroupType((1, 1, 1)), 4)
         with pytest.raises(OutOfRange):
             classify_rank3(GroupType((1, 1, 1)), -1)
+
+
+# one value of each immutable value type, with one of its fields
+VALUES = [
+    pytest.param(GroupType((2, 1)), "parts", id="GroupType"),
+    pytest.param(CaseId("rank3", 1), "case", id="CaseId"),
+    pytest.param(rank2((1, 2), 1), "value", id="FormulaResult"),
+    pytest.param(FormulaResult.miss(), "covered", id="FormulaResult-miss"),
+    pytest.param(CensusResult(2, (1, 1), (1, 3, 1)), "counts", id="CensusResult"),
+    pytest.param(LinForm((1, 0, 0, -1), 2), "const", id="LinForm"),
+]
+
+
+class TestValueTypes:
+    def test_equal_results_compare_equal(self):
+        assert rank2((1, 1), 1) == rank2((1, 1), 1)
+
+    @pytest.mark.parametrize("value, field", VALUES)
+    def test_fields_cannot_be_assigned(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    def test_group_type_of_a_group_type_is_itself(self):
+        t = GroupType((2, 1))
+        assert GroupType(t) is t
+
+    def test_group_type_equals_its_ascending_parts(self):
+        assert GroupType((2, 1)) == (1, 2)
+        assert GroupType((2, 1)) != (2, 1)
+
+    def test_lin_form_coerces_its_coefficients(self):
+        form = LinForm([1, 0, 0, 0])
+        assert form == LinForm((1, 0, 0, 0))
+        assert {form: "a1"}[LinForm((1, 0, 0, 0))] == "a1"
+
+    @pytest.mark.parametrize("value, field", VALUES)
+    def test_pickle_and_deepcopy_round_trip(self, value, field):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value
+            assert type(copied) is type(value)

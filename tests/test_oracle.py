@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcount import oracle
+from subcount.closedforms import gaussian_binomial
 from subcount.groups import GroupType, OutOfRange
 from subcount.oracle import (
     CENSUS_COST_LIMIT, DEFAULT_LIMIT, PRIME_TEST_BOUND, STAR_COST_LIMIT, CensusResult,
     CensusTooCostly, GroupTooLarge, PrimalityUndecided, _check_prime, census_cost,
-    gaussian_binomial, star_census_work, star_matrix_census, subgroup_census,
+    star_census_work, star_matrix_census, subgroup_census,
 )
 from subcount.polyring import IntPoly, ONE
 from subcount.recurrence import count_hironaka
