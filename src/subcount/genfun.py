@@ -270,28 +270,29 @@ def _f2_formula(bounds):
     return numerator, factors
 
 
-def _mismatch(mono, expected, got):
-    return {
-        "monomial": list(mono),
-        "expected": expected.to_json(),
-        "got": got.to_json(),
-    }
-
-
 def _mismatches(series, expected, limit=None):
     """Records of the cells where the series differs from expected.
 
     expected yields (cell, IntPoly) pairs; each is packed at the series'
     width and compared with the packed cell, and only a cell that differs is
-    unpacked.  Collecting stops after limit records.
+    unpacked.  A value too wide for the slots equals no cell, so it is a
+    mismatch too.  Collecting stops after limit records.
     """
     width = series._width
     data = series._data
     found = []
     for cell, want in expected:
         got = data.get(cell, 0)
-        if got != _pack(want.coeffs, width):
-            found.append(_mismatch(cell, want, _unpack(got, width)))
+        try:
+            same = got == _pack(want.coeffs, width)
+        except OverflowError:
+            same = False
+        if not same:
+            found.append({
+                "monomial": list(cell),
+                "expected": want.to_json(),
+                "got": _unpack(got, width).to_json(),
+            })
             if len(found) == limit:
                 break
     return found
@@ -413,14 +414,9 @@ def verify_sub_series(bounds=(6, 6, 6)):
         total = series_by_name[good_f20[0]] + series_by_name[good_f21[0]]
         full = expand_rational(*_f2_formula(bounds))
         if total != full:
-            width = max(total._width, full._width)
-            ours, theirs = total._at(width), full._at(width)
-            for mono in sorted(set(ours) | set(theirs)):
-                if ours.get(mono, 0) != theirs.get(mono, 0):
-                    sum_mismatches.append(
-                        _mismatch(mono, full.coeff(*mono), total.coeff(*mono)))
-                    if len(sum_mismatches) == 5:
-                        break
+            cells = sorted(set(total.monomials) | set(full.monomials))
+            sum_mismatches = _mismatches(
+                total, ((cell, full.coeff(*cell)) for cell in cells), limit=5)
         sum_ok = not sum_mismatches
     report["sum_matches_full"] = sum_ok
     report["sum_mismatches"] = sum_mismatches

@@ -47,7 +47,13 @@ class CensusResult(namedtuple("CensusResult", "prime group_type counts")):
     __slots__ = ()
 
     def __new__(cls, prime, group_type, counts):
-        return tuple.__new__(cls, (prime, GroupType(group_type), tuple(counts)))
+        group_type, counts = GroupType(group_type), tuple(counts)
+        # one count per order index, and as many subgroups of each order as of
+        # each index, so the counts read the same backwards and end in 1
+        if len(counts) != group_type.weight + 1 or counts[0] != 1 or counts != counts[::-1]:
+            raise RuntimeError(
+                "census invariants violated for %s at p=%d: %s" % (group_type, prime, counts))
+        return tuple.__new__(cls, (prime, group_type, counts))
 
     @property
     def total(self):
@@ -94,12 +100,16 @@ def _check_prime(p):
             raise ValueError("%d is not prime" % p)
 
 
-def _check_order(prime, m, limit):
-    """Raise GroupTooLarge if prime**m > limit.
+def _admit(t, prime, limit):
+    """The canonical type of t, once prime is checked and p**weight <= limit.
 
-    The power grows one factor at a time and stops at the first one past
-    the limit, so a huge m builds no huge int and the message names p^m.
+    The order grows one factor at a time and stops at the first one past
+    the limit, so a huge weight builds no huge int, and the GroupTooLarge
+    raised names p^m.
     """
+    t = GroupType(t)
+    _check_prime(prime)
+    m = t.weight
     order = 1
     for _ in range(m):
         order *= prime
@@ -108,6 +118,7 @@ def _check_order(prime, m, limit):
     if order > limit:
         raise GroupTooLarge(
             "group order %d^%d exceeds the enumeration limit %d" % (prime, m, limit))
+    return t
 
 
 def census_cost(t, prime):
@@ -118,20 +129,13 @@ def census_cost(t, prime):
 
 def subgroup_census(t, prime, limit=DEFAULT_LIMIT):
     """Enumerate all subgroups by index-p extension and bucket by order."""
-    t = GroupType(t)
-    _check_prime(prime)
-    m = t.weight
-    _check_order(prime, m, limit)
+    t = _admit(t, prime, limit)
     cost = census_cost(t, prime)
     if cost > CENSUS_COST_LIMIT:
         raise CensusTooCostly(
             "census of %s at p=%d would cost %d (subgroups times order), "
             "over the limit %d" % (t, prime, cost, CENSUS_COST_LIMIT))
-    counts = _cover_census([prime ** a for a in t.parts], prime)
-    if len(counts) != m + 1 or counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
-        raise RuntimeError(
-            "census invariants violated for %s at p=%d: %s" % (t, prime, counts))
-    return CensusResult(prime, t, counts)
+    return CensusResult(prime, t, _cover_census([prime ** a for a in t], prime))
 
 
 def _mixed_radix(columns):
@@ -234,19 +238,18 @@ def star_census_work(t, prime):
     STAR_COST_LIMIT / n type vectors.
     """
     t = GroupType(t)
-    parts = t.parts
     inner = _star_cells(t.rank)[:-1]
     vectors = 1
-    for a in parts:
+    for a in t:
         vectors *= a + 1
     floor = vectors * (len(inner) + 1)
     if floor > STAR_COST_LIMIT:
         return floor
     total = 0
-    for ivec in product(*[range(a + 1) for a in parts]):
+    for ivec in product(*[range(a + 1) for a in t]):
         calls = node = 1
         for r, j in inner:
-            node *= prime ** min(ivec[j], parts[r] - ivec[r])
+            node *= prime ** min(ivec[j], t[r] - ivec[r])
             calls += node
         total += calls
     return total
@@ -263,17 +266,14 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     from the minors below it by one row expansion; see _fillings.  There is
     no rank cap: the order limit and the work bound decide admission.
     """
-    t = GroupType(t)
-    _check_prime(prime)
-    m = t.weight
-    _check_order(prime, m, limit)
+    t = _admit(t, prime, limit)
     work = star_census_work(t, prime)
     if work > STAR_COST_LIMIT:
         raise CensusTooCostly(
             "matrix census of %s at p=%d may make %d or more search calls, "
             "over the limit %d" % (t, prime, work, STAR_COST_LIMIT))
     k = t.rank
-    parts = t.parts
+    m = t.weight
     power = [prime ** e for e in range(m + 1)]
     # what a cell needs that no type vector changes: its row expansion's
     # rows q = j-1, ..., r+1, and the sign (-1)**(j-r-1) of the entry's term
@@ -284,7 +284,7 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     mat = [[0] * k for _ in range(k)]
     minors = [[0] * k for _ in range(k)]
     counts = [0] * (m + 1)
-    for ivec in product(*[range(0, a + 1) for a in parts]):
+    for ivec in product(*[range(0, a + 1) for a in t]):
         if not cells:
             counts[m - sum(ivec)] += 1
             continue
@@ -294,16 +294,13 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
         solves = []
         for (r, j, _), sign in zip(cells, signs):
             s = sums[j] - sums[r + 1]
-            excess = sums[j + 1] - sums[r] - parts[r]
+            excess = sums[j + 1] - sums[r] - t[r]
             scale = sign * power[s]
             if excess <= 0:
                 solves.append((1, 0, scale))
             else:
                 solves.append((power[max(0, excess - s)], power[min(s, excess)], scale))
         counts[m - sums[k]] += _fillings(mat, minors, cells, solves, 0)
-    if counts[0] != 1 or counts[m] != 1 or counts != counts[::-1]:
-        raise RuntimeError(
-            "matrix census invariants violated for %s at p=%d: %s" % (t, prime, counts))
     return CensusResult(prime, t, counts)
 
 

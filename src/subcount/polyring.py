@@ -246,6 +246,9 @@ class IntPoly:
         return NotImplemented
 
     def __hash__(self):
+        # equal objects hash equally: a constant as the int it equals, ZERO as 0
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash(("IntPoly", self._coeffs))
 
     def __bool__(self):

@@ -52,13 +52,14 @@ def count_hironaka(t, b, memo=None):
         memo = _HIRONAKA_MEMO
     if b < 0 or b > t.weight:
         return ZERO
-    return _hironaka_row(t.parts, memo)[b]
+    return _hironaka_row(t, memo)[b]
 
 
 def _hironaka_row(parts, memo):
     """The row (H(parts, 0), ..., H(parts, m)) for ascending parts.
 
-    The memo holds one row per prefix of parts with at least two parts.
+    parts may be a GroupType, which hashes and compares as its ascending
+    tuple.  The memo holds one row per prefix of parts with at least two parts.
     """
     if len(parts) <= 1:
         return (ONE,) * (sum(parts) + 1)
@@ -206,6 +207,6 @@ def total_count(t, memo=None):
     if memo is None:
         memo = _HIRONAKA_MEMO
     acc = ZERO
-    for value in _hironaka_row(t.parts, memo):
+    for value in _hironaka_row(t, memo):
         acc = acc + value
     return acc

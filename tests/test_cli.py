@@ -297,6 +297,17 @@ class TestVerify:
         assert result.counterexample.startswith(
             "verify_F2 mismatches at truncation (4, 4, 4): got [[4, 4, 4]]")
 
+    def test_too_wide_a_reference_names_its_cell(self, monkeypatch):
+        # a reference value past the series' 64-bit slots is a mismatch at
+        # its cell, not an OverflowError with no cell
+        exact = genfun.count_stehling
+        monkeypatch.setattr(genfun, "count_stehling", lambda t, r: exact(t, r) + (
+            1 << 70 if (tuple(t), r) == ((1, 2), 2) else 0))
+        result = verify.run("series-full", verify.Scale.of())
+        assert not result.passed
+        assert result.counterexample.startswith(
+            "verify_F2 mismatches at truncation (8, 8, 8): got [{'monomial': [2, 1, 2], ")
+
     def test_crash_keeps_family(self, capsys, monkeypatch):
         def broken(t, b):
             raise ZeroDivisionError("broken route")

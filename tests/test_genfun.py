@@ -69,6 +69,11 @@ class TestMultiSeries:
         with pytest.raises(TypeError):
             series() + 1
 
+    def test_unequal_to_a_non_series(self):
+        s = series((1, 0, 0, ONE))
+        assert s != 1 and s != "x" and s != {(1, 0, 0): ONE}
+        assert not s == ONE
+
     def test_polynomial_coefficients(self):
         s = series((1, 1, 1, IntPoly((0, 1))))
         assert s.coeff(1, 1, 1) == IntPoly((0, 1))
@@ -260,6 +265,47 @@ class TestSeriesChecks:
                 readings = {e["reading"]: e["ok"] for e in report[side]}
                 assert len(readings) == 2
                 assert sorted(readings.values()) == [False, True]
+
+    def test_too_wide_a_reference_is_a_mismatch(self, monkeypatch):
+        # 2**70 does not fit the series' 64-bit slots, so it equals no cell
+        exact = genfun.count_stehling
+
+        def perturbed(t, r):
+            value = exact(t, r)
+            return value + (1 << 70) if (tuple(t), r) == ((1, 2), 2) else value
+
+        monkeypatch.setattr(genfun, "count_stehling", perturbed)
+        [record] = verify_F2((4, 4, 4))
+        assert record["monomial"] == [2, 1, 2]
+        assert record["expected"] == perturbed((1, 2), 2).to_json()
+        assert record["got"] == exact((1, 2), 2).to_json()
+
+    def test_sum_mismatches_name_full_and_sum(self, monkeypatch):
+        # an x2 term in the equal piece's numerator lies off the diagonal, so
+        # both pieces still validate, but their sum differs from the full series
+        readings = genfun._f20_readings
+
+        def with_x2(bounds):
+            (name, (num, factors)), literal = readings(bounds)
+            num = num + MultiSeries.from_terms(bounds, [(0, 1, 0, 1)])
+            return [(name, (num, factors)), literal]
+
+        monkeypatch.setattr(genfun, "_f20_readings", with_x2)
+        bounds = (4, 4, 4)
+        report = verify_sub_series(bounds)
+        assert report["validated"]["equal_piece"] is not None
+        assert report["validated"]["strict_piece"] is not None
+        assert not report["sum_matches_full"] and not report["ok"]
+        assert [m["monomial"] for m in report["sum_mismatches"]] == [
+            [0, 1, 0], [1, 2, 0], [1, 2, 1], [1, 2, 2], [2, 3, 0]]
+        equal = expand_rational(*with_x2(bounds)[0][1])
+        strict = expand_rational(*genfun._f21_readings(bounds)[0][1])
+        full = expand_rational(*genfun._f2_formula(bounds))
+        for record in report["sum_mismatches"]:
+            cell = record["monomial"]
+            assert record["expected"] == full.coeff(*cell).to_json()
+            assert record["got"] == (equal + strict).coeff(*cell).to_json()
+            assert record["expected"] != record["got"]
 
     def test_wrong_reading_reports_five_unpacked_records(self, monkeypatch):
         # the negated equal piece differs from the recurrence on every one of

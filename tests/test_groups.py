@@ -28,6 +28,11 @@ class TestGroupType:
         with pytest.raises(NegativePart):
             GroupType((1, -1))
 
+    def test_rejects_non_int_parts(self):
+        for parts in ((1.5,), ("1",)):
+            with pytest.raises(TypeError, match="parts must be ints"):
+                GroupType(parts)
+
     def test_rank_and_weight(self):
         t = GroupType((1, 2, 2))
         assert t.rank == 3

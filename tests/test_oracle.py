@@ -336,3 +336,11 @@ class TestCensusResult:
         res = CensusResult(2, (1,), (c for c in (1, 1)))
         assert res.counts == (1, 1)
         assert res.total == 2
+
+    def test_invariants_checked(self):
+        # one count per order index, a trivial subgroup and counts that read
+        # the same backwards; a census that breaks one is a bug, not a result
+        for counts in ((1, 3), (1, 3, 2), (2, 3, 2), (1, 3, 1, 1)):
+            with pytest.raises(RuntimeError,
+                               match=r"census invariants violated for \(1, 1\) at p=2"):
+                CensusResult(2, (1, 1), counts)

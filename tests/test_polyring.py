@@ -1,5 +1,6 @@
 """Exact integer polynomial arithmetic."""
 import json
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,3 +205,22 @@ class TestHashing:
         assert poly(5) == 5
         assert poly(5) != 6
         assert ZERO == 0
+
+    def test_constants_hash_as_their_ints(self):
+        # equal objects must hash equally, or sets and dicts split them
+        assert len({poly(5), 5}) == 1
+        assert {5: "x"}.get(poly(5)) == "x"
+        assert {0: "zero"}.get(ZERO) == "zero"
+        assert hash(ZERO) == hash(0) and hash(poly(-3)) == hash(-3)
+
+
+class TestForeignOperands:
+    def test_arithmetic_with_a_string_raises(self):
+        f = poly(1)
+        for op in (add, sub, mul):
+            with pytest.raises(TypeError):
+                op(f, "x")
+            with pytest.raises(TypeError):
+                op("x", f)
+        with pytest.raises(TypeError, match="cannot divide"):
+            f.divmod("x")
