@@ -180,7 +180,13 @@ def _of_rank(t, rank):
     return t
 
 
+def _check_b_type(b):
+    if not isinstance(b, int) or isinstance(b, bool):
+        raise TypeError("b must be an int, got %r" % (b,))
+
+
 def _check_b(b, m):
+    _check_b_type(b)
     if not 0 <= b <= m:
         raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
 
@@ -319,6 +325,7 @@ def rank3_with_case(t, b, case_no):
     The caller is responsible for picking a case whose interval admits
     (t, b); boundary tests use this to compare overlapping cases.
     """
+    _check_b_type(b)
     return _evaluate(CaseId("rank3", case_no), _of_rank(t, 3), b)
 
 
@@ -451,6 +458,7 @@ def _rank4_interval_case(parts, b):
 
 def rank4_partial(t, b):
     """Interval closed forms for rank 4; covered is False off the catalog."""
+    _check_b_type(b)
     parts = _of_rank(t, 4)
     m = sum(parts)
     case_no = _rank4_interval_case(parts, b)

@@ -63,37 +63,37 @@ def _unpack(value, width):
     return IntPoly(coeffs)
 
 
-def _as_poly(coeff):
-    if isinstance(coeff, IntPoly):
-        return coeff
-    if isinstance(coeff, int):
-        return IntPoly((coeff,))
-    return IntPoly(coeff)
+def _three_counts(exponents):
+    """Whether exponents is three nonnegative ints, none of them a bool."""
+    return len(exponents) == 3 and all(
+        isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exponents)
 
 
 class MultiSeries:
     """Power series in (x1, x2, y) truncated to a bounds box.
 
-    Coefficients may be given as IntPolys, ints or int sequences; coeff()
-    returns IntPolys.
+    data maps monomials, tuples of three nonnegative int exponents, to
+    coefficients, each an IntPoly or an int; a monomial past the bounds
+    truncates away.  coeff() returns IntPolys.
     """
 
     __slots__ = ("bounds", "_data", "_bound", "_width")
 
     def __init__(self, bounds, data=None):
         self.bounds = tuple(bounds)
-        if len(self.bounds) != 3 or any(
-                isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in self.bounds):
+        if not _three_counts(self.bounds):
             raise ValueError("bounds must be three nonnegative ints")
         polys = {}
         for mono, coeff in (data or {}).items():
-            mono = tuple(mono)
-            if len(mono) != 3:
-                raise ValueError("monomial %r needs three exponents" % (mono,))
-            coeff = _as_poly(coeff)
-            if coeff.is_zero:
-                continue
-            if all(0 <= e <= bound for e, bound in zip(mono, self.bounds)):
+            if not (isinstance(mono, tuple) and _three_counts(mono)):
+                raise ValueError(
+                    "monomial %r needs three nonnegative int exponents" % (mono,))
+            if isinstance(coeff, int):
+                coeff = IntPoly((coeff,))
+            elif not isinstance(coeff, IntPoly):
+                raise TypeError("coefficient %r is neither an int nor an IntPoly"
+                                % (coeff,))
+            if not coeff.is_zero and all(e <= b for e, b in zip(mono, self.bounds)):
                 polys[mono] = coeff
         self._bound = max((abs(c) for poly in polys.values() for c in poly.coeffs),
                           default=0)
@@ -110,15 +110,6 @@ class MultiSeries:
         series._bound = bound
         series._width = _width_for(bound)
         return series
-
-    @classmethod
-    def from_terms(cls, bounds, terms):
-        """Build from (e1, e2, ey, coeff) tuples; out-of-box terms truncate away."""
-        data = {}
-        for e1, e2, ey, coeff in terms:
-            mono = (e1, e2, ey)
-            data[mono] = _as_poly(coeff) + data.get(mono, 0)
-        return cls(bounds, data)
 
     def coeff(self, e1, e2, ey):
         """Coefficient of x1**e1 * x2**e2 * y**ey as an IntPoly."""
@@ -253,21 +244,51 @@ def expand_rational(numerator, factors):
         bounds, {cells[i]: value for i, value in enumerate(acc) if value}, bound)
 
 
-def _series(bounds, *terms):
-    return MultiSeries.from_terms(bounds, terms)
+# The paper's rank-2 series.  Each denominator factor is written once, as
+# {monomial: coefficient} over the exponents of (x1, x2, y); each series is a
+# numerator in the same form and the names of its factors.  The full series
+# F2 splits into an equal-exponent piece and a strict piece, each under two
+# readings: the corrected one first, then the one as printed.
+_FACTORS = {
+    "1 - x1": {(0, 0, 0): 1, (1, 0, 0): -1},
+    "1 - x1*y": {(0, 0, 0): 1, (1, 0, 1): -1},
+    "1 - x1*x2": {(0, 0, 0): 1, (1, 1, 0): -1},
+    "1 - x1*x2*y": {(0, 0, 0): 1, (1, 1, 1): -1},
+    "1 - p*x1*x2*y": {(0, 0, 0): 1, (1, 1, 1): -P},
+    "p*x1*x2*y - 1": {(0, 0, 0): -1, (1, 1, 1): P},
+    "1 - x1*x2*y^2": {(0, 0, 0): 1, (1, 1, 2): -1},
+}
+_SERIES = {
+    "full": ({(2, 1, 2): 1, (2, 1, 1): 1, (1, 1, 1): -1, (0, 0, 0): -1},
+             ("1 - x1", "1 - x1*y", "1 - x1*x2", "1 - x1*x2*y^2", "p*x1*x2*y - 1")),
+    "staircase": ({(0, 0, 0): 1},
+                  ("1 - x1", "1 - x1*x2", "1 - x1*x2*y", "1 - p*x1*x2*y")),
+    "equal_piece": {
+        "numerator 1 + x1*x2*y": (
+            {(0, 0, 0): 1, (1, 1, 1): 1},
+            ("1 - x1*x2", "1 - p*x1*x2*y", "1 - x1*x2*y^2")),
+        "numerator 1 + x2^2*y": (
+            {(0, 0, 0): 1, (0, 2, 1): 1},
+            ("1 - x1*x2", "1 - p*x1*x2*y", "1 - x1*x2*y^2")),
+    },
+    "strict_piece": {
+        "numerator x1*(1 + y - x1*y - x1^2*x2*y^2) over five factors": (
+            {(1, 0, 0): 1, (1, 0, 1): 1, (2, 0, 1): -1, (3, 1, 2): -1},
+            ("1 - x1", "1 - x1*y", "1 - x1*x2", "1 - p*x1*x2*y", "1 - x1*x2*y^2")),
+        "numerator 1 + y - x1*y + x1^2*x2*y^2 with factor 1 - x1*x2*y": (
+            {(0, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): -1, (2, 1, 2): 1},
+            ("1 - x1", "1 - x1*y", "1 - x1*x2", "1 - x1*x2*y", "1 - p*x1*x2*y")),
+    },
+}
+# which cells u >= v of the box each piece of the split covers
+_PIECES = {"equal_piece": lambda u, v: u == v, "strict_piece": lambda u, v: u > v}
 
 
-def _f2_formula(bounds):
-    """The rank-2 full series as a numerator and factor list."""
-    numerator = _series(bounds, (2, 1, 2, 1), (2, 1, 1, 1), (1, 1, 1, -1), (0, 0, 0, -1))
-    factors = [
-        _series(bounds, (0, 0, 0, 1), (1, 0, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 0, 1, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 2, -1)),
-        _series(bounds, (0, 0, 0, -1), (1, 1, 1, P)),
-    ]
-    return numerator, factors
+def _expand(bounds, formula):
+    """The expansion in the bounds box of a (numerator, factor names) entry."""
+    numerator, factors = formula
+    return expand_rational(MultiSeries(bounds, numerator),
+                           [MultiSeries(bounds, _FACTORS[name]) for name in factors])
 
 
 def _mismatches(series, expected, limit=None):
@@ -317,7 +338,7 @@ def verify_F2(bounds=(6, 6, 6)):
 
     Returns mismatch records; empty means the check passed.
     """
-    return _mismatches(expand_rational(*_f2_formula(bounds)), _rank2_counts(bounds))
+    return _mismatches(_expand(bounds, _SERIES["full"]), _rank2_counts(bounds))
 
 
 def verify_g_product(bounds=(6, 6, 6)):
@@ -326,93 +347,40 @@ def verify_g_product(bounds=(6, 6, 6)):
     For exponents u >= v >= r the coefficient must be 1 + p + ... + p**r.
     Returns mismatch records; empty means the check passed.
     """
-    numerator = _series(bounds, (0, 0, 0, 1))
-    factors = [
-        _series(bounds, (0, 0, 0, 1), (1, 0, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -P)),
-    ]
     steps = [geometric(r + 1) for r in range(bounds[2] + 1)]
-    return _mismatches(expand_rational(numerator, factors), (
+    return _mismatches(_expand(bounds, _SERIES["staircase"]), (
         ((u, v, r), steps[r])
         for u in range(0, bounds[0] + 1)
         for v in range(0, min(u, bounds[1]) + 1)
         for r in range(0, min(v, bounds[2]) + 1)))
 
 
-# -- sub-series split: two candidate readings for each piece ----------------
-
-def _f20_readings(bounds):
-    shared_factors = [
-        _series(bounds, (0, 0, 0, 1), (1, 1, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -P)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 2, -1)),
-    ]
-    corrected = (_series(bounds, (0, 0, 0, 1), (1, 1, 1, 1)), shared_factors)
-    literal = (_series(bounds, (0, 0, 0, 1), (0, 2, 1, 1)), shared_factors)
-    return [("numerator 1 + x1*x2*y", corrected),
-            ("numerator 1 + x2^2*y", literal)]
-
-
-def _f21_readings(bounds):
-    corrected_num = _series(
-        bounds, (1, 0, 0, 1), (1, 0, 1, 1), (2, 0, 1, -1), (3, 1, 2, -1))
-    corrected_factors = [
-        _series(bounds, (0, 0, 0, 1), (1, 0, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 0, 1, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -P)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 2, -1)),
-    ]
-    literal_num = _series(
-        bounds, (0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 1, -1), (2, 1, 2, 1))
-    literal_factors = [
-        _series(bounds, (0, 0, 0, 1), (1, 0, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 0, 1, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 0, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -1)),
-        _series(bounds, (0, 0, 0, 1), (1, 1, 1, -P)),
-    ]
-    return [
-        ("numerator x1*(1 + y - x1*y - x1^2*x2*y^2) over five factors",
-         (corrected_num, corrected_factors)),
-        ("numerator 1 + y - x1*y + x1^2*x2*y^2 with factor 1 - x1*x2*y",
-         (literal_num, literal_factors)),
-    ]
-
-
 def verify_sub_series(bounds=(6, 6, 6)):
     """Check the two sub-series under each candidate reading.
 
     The equal-exponent piece is compared against the recurrence on the
-    diagonal, the strict piece off the diagonal, and the validated pair is
-    summed and compared against the full series.  The report says which
-    reading of each piece survives, with at most 5 mismatch records for
-    each reading and for the sum.
+    diagonal, the strict piece off the diagonal, and the first reading of
+    each piece that passes is validated; the validated pair is summed and
+    compared against the full series.  The report has at most 5 mismatch
+    records for each reading and for the sum.
     """
-    report = {"bounds": list(bounds), "equal_piece": [], "strict_piece": []}
-    series_by_name = {}
-    for side, readings, keep in (
-            ("equal_piece", _f20_readings(bounds), lambda u, v: u == v),
-            ("strict_piece", _f21_readings(bounds), lambda u, v: u > v)):
+    report = {"bounds": list(bounds)}
+    validated = {}
+    for side, keep in _PIECES.items():
         counts = list(_rank2_counts(bounds, keep))
-        for name, (num, factors) in readings:
-            series = expand_rational(num, factors)
+        report[side] = []
+        for name, formula in _SERIES[side].items():
+            series = _expand(bounds, formula)
             mism = _mismatches(series, counts, limit=5)
-            series_by_name[name] = series
             report[side].append({"reading": name, "ok": not mism, "mismatches": mism})
-    good_f20 = [e["reading"] for e in report["equal_piece"] if e["ok"]]
-    good_f21 = [e["reading"] for e in report["strict_piece"] if e["ok"]]
-    report["validated"] = {
-        "equal_piece": good_f20[0] if good_f20 else None,
-        "strict_piece": good_f21[0] if good_f21 else None,
-    }
-    sum_ok = False
-    sum_mismatches = []
-    if good_f20 and good_f21:
-        total = series_by_name[good_f20[0]] + series_by_name[good_f21[0]]
-        full = expand_rational(*_f2_formula(bounds))
+            if not mism:
+                validated.setdefault(side, (name, series))
+    report["validated"] = {side: validated[side][0] if side in validated else None
+                           for side in _PIECES}
+    sum_ok, sum_mismatches = False, []
+    if len(validated) == len(_PIECES):
+        total = validated["equal_piece"][1] + validated["strict_piece"][1]
+        full = _expand(bounds, _SERIES["full"])
         if total != full:
             cells = sorted(set(total.monomials) | set(full.monomials))
             sum_mismatches = _mismatches(
@@ -420,5 +388,5 @@ def verify_sub_series(bounds=(6, 6, 6)):
         sum_ok = not sum_mismatches
     report["sum_matches_full"] = sum_ok
     report["sum_mismatches"] = sum_mismatches
-    report["ok"] = bool(good_f20 and good_f21 and sum_ok)
+    report["ok"] = sum_ok
     return report

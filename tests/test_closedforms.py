@@ -329,3 +329,21 @@ class TestFormulaResult:
         res = FormulaResult.miss()
         assert not res.covered
         assert res.value is None and res.case is None
+
+
+# every public closed form that takes an order index, with a valid type or m
+B_TAKERS = [(rank2, (1, 2)), (rank3, (1, 2, 3)), (rank3_mmm, 2),
+            (rank4_partial, (1, 1, 2, 2)), (rank4_mmmm_b, 1), (anyrank_case1, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("b", [1.5, 1.0, True])
+@pytest.mark.parametrize("fn, t", B_TAKERS, ids=[fn.__name__ for fn, _ in B_TAKERS])
+def test_order_index_must_be_an_int(fn, t, b):
+    # rank2 case 2 never reads b, so rank2((1, 2), 1.5) once returned p + 1
+    with pytest.raises(TypeError, match="b must be an int"):
+        fn(t, b)
+
+
+def test_case_by_number_needs_an_int_order_index():
+    with pytest.raises(TypeError, match="b must be an int"):
+        rank3_with_case((1, 2, 3), 1.5, 2)

@@ -1,4 +1,5 @@
 """Truncated trivariate series and the generating-function checks."""
+import re
 from itertools import product
 from math import comb
 
@@ -21,7 +22,7 @@ SERIES_BOXES = [(4, 4, 4), (12, 12, 12)]
 
 
 def series(*terms):
-    return MultiSeries.from_terms(B, terms)
+    return MultiSeries(B, {(e1, e2, ey): coeff for e1, e2, ey, coeff in terms})
 
 
 class TestMultiSeries:
@@ -48,6 +49,19 @@ class TestMultiSeries:
     def test_monomial_needs_three_exponents(self):
         with pytest.raises(ValueError):
             MultiSeries(B, {(1, 2): ONE})
+
+    @pytest.mark.parametrize("mono", [
+        (-1, 0, 0), (1.0, 0, 0), (0, True, 0), (1, 0, 0, 0), 5, "abc"])
+    def test_monomial_needs_three_nonnegative_int_exponents(self, mono):
+        # a negative exponent was dropped and a float one kept as a key
+        with pytest.raises(ValueError, match="three nonnegative int exponents"):
+            MultiSeries((2, 2, 2), {mono: 5, (1, 0, 0): 1})
+
+    @pytest.mark.parametrize("coeff", [1.5, "1", (1, 2), [1, 2], None])
+    def test_coefficient_is_an_int_or_an_intpoly(self, coeff):
+        with pytest.raises(TypeError, match="coefficient %s is neither" % re.escape(
+                repr(coeff))):
+            MultiSeries((2, 2, 2), {(1, 0, 0): coeff})
 
     def test_coeff_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
@@ -202,9 +216,9 @@ class TestExpandRational:
     def test_two_factors_match_closed_form(self):
         # (1 + x1*x2) / ((1 - x1)(1 - p*x2*y)) = (1 + x1*x2) * sum x1^i p^k x2^k y^k
         bounds = (4, 3, 3)
-        num = MultiSeries.from_terms(bounds, [(0, 0, 0, ONE), (1, 1, 0, ONE)])
-        f1 = MultiSeries.from_terms(bounds, [(0, 0, 0, ONE), (1, 0, 0, MINUS_ONE)])
-        f2 = MultiSeries.from_terms(bounds, [(0, 0, 0, ONE), (0, 1, 1, IntPoly((0, -1)))])
+        num = MultiSeries(bounds, {(0, 0, 0): ONE, (1, 1, 0): ONE})
+        f1 = MultiSeries(bounds, {(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE})
+        f2 = MultiSeries(bounds, {(0, 0, 0): ONE, (0, 1, 1): IntPoly((0, -1))})
         s = expand_rational(num, [f1, f2])
         for e1, e2, ey in product(*(range(b + 1) for b in bounds)):
             want = ZERO
@@ -238,7 +252,7 @@ class TestExpandRational:
 
     def test_factor_bounds_must_match(self):
         num = series((0, 0, 0, ONE))
-        fac = MultiSeries.from_terms((3, 3, 2), [(0, 0, 0, ONE), (1, 0, 0, MINUS_ONE)])
+        fac = MultiSeries((3, 3, 2), {(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE})
         with pytest.raises(ValueError):
             expand_rational(num, [fac])
 
@@ -283,14 +297,9 @@ class TestSeriesChecks:
     def test_sum_mismatches_name_full_and_sum(self, monkeypatch):
         # an x2 term in the equal piece's numerator lies off the diagonal, so
         # both pieces still validate, but their sum differs from the full series
-        readings = genfun._f20_readings
-
-        def with_x2(bounds):
-            (name, (num, factors)), literal = readings(bounds)
-            num = num + MultiSeries.from_terms(bounds, [(0, 1, 0, 1)])
-            return [(name, (num, factors)), literal]
-
-        monkeypatch.setattr(genfun, "_f20_readings", with_x2)
+        equal_readings = genfun._SERIES["equal_piece"]
+        (name, (num, factors)), _ = equal_readings.items()
+        monkeypatch.setitem(equal_readings, name, ({**num, (0, 1, 0): 1}, factors))
         bounds = (4, 4, 4)
         report = verify_sub_series(bounds)
         assert report["validated"]["equal_piece"] is not None
@@ -298,9 +307,10 @@ class TestSeriesChecks:
         assert not report["sum_matches_full"] and not report["ok"]
         assert [m["monomial"] for m in report["sum_mismatches"]] == [
             [0, 1, 0], [1, 2, 0], [1, 2, 1], [1, 2, 2], [2, 3, 0]]
-        equal = expand_rational(*with_x2(bounds)[0][1])
-        strict = expand_rational(*genfun._f21_readings(bounds)[0][1])
-        full = expand_rational(*genfun._f2_formula(bounds))
+        equal = genfun._expand(bounds, equal_readings[name])
+        corrected_strict, _ = genfun._SERIES["strict_piece"].values()
+        strict = genfun._expand(bounds, corrected_strict)
+        full = genfun._expand(bounds, genfun._SERIES["full"])
         for record in report["sum_mismatches"]:
             cell = record["monomial"]
             assert record["expected"] == full.coeff(*cell).to_json()
@@ -310,14 +320,10 @@ class TestSeriesChecks:
     def test_wrong_reading_reports_five_unpacked_records(self, monkeypatch):
         # the negated equal piece differs from the recurrence on every one of
         # the 19 diagonal cells of (4, 4, 4); the report keeps the first 5
-        readings = genfun._f20_readings
-
-        def with_negated(bounds):
-            (name, (num, factors)), literal = readings(bounds)
-            negated = MultiSeries.from_terms(bounds, [(0, 0, 0, -1), (1, 1, 1, -1)])
-            return [(name, (num, factors)), ("negated", (negated, factors))]
-
-        monkeypatch.setattr(genfun, "_f20_readings", with_negated)
+        (name, (num, factors)), _ = genfun._SERIES["equal_piece"].items()
+        negated = {(0, 0, 0): -1, (1, 1, 1): -1}
+        monkeypatch.setitem(genfun._SERIES, "equal_piece",
+                            {name: (num, factors), "negated": (negated, factors)})
         report = verify_sub_series((4, 4, 4))
         assert report["ok"]
         entry = report["equal_piece"][1]

@@ -1,0 +1,52 @@
+"""Fixed commands and series reports, compared byte for byte with tests/golden.
+
+Each file holds the exact stdout of one `subcount` command, run in process, or
+the json.dumps of one series report.  A change that alters any of them fails
+here; a deliberate change of output rewrites the file by hand in the same
+commit, so the diff shows what moved.
+"""
+import json
+from pathlib import Path
+
+import pytest
+
+from subcount import genfun
+from subcount.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "verify.json": ["verify", "--json"],
+    # the benchmark's verify workload at seed 1
+    "verify-oracle128-primes32.json": [
+        "verify", "--json", "--oracle-limit", "128", "--primes", "3,2"],
+    "toth.txt": ["toth"],
+    "toth.json": ["toth", "--json"],
+}
+SERIES_CHECKS = [(check, bounds)
+                 for check in ("verify_F2", "verify_g_product", "verify_sub_series")
+                 for bounds in ((4, 4, 4), (8, 8, 8), (12, 12, 12))]
+
+
+def series_file(check, bounds):
+    return "%s-%s.json" % (check, "x".join(map(str, bounds)))
+
+
+def test_every_golden_file_is_checked():
+    names = set(COMMANDS) | {series_file(*case) for case in SERIES_CHECKS}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_stdout(capsys, name):
+    code = main(COMMANDS[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("check, bounds", SERIES_CHECKS,
+                         ids=[series_file(*case) for case in SERIES_CHECKS])
+def test_series_report(check, bounds):
+    report = json.dumps(getattr(genfun, check)(bounds))
+    assert report.encode("utf-8") == (GOLDEN / series_file(check, bounds)).read_bytes()
