@@ -62,120 +62,86 @@ def resolve_closed(t, b):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON report, text lines) and prints
+# nothing to stdout; main prints the report or the lines
 # ---------------------------------------------------------------------------
 
-def _json_dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=False)
-
-
-def _error(message):
-    print("error: %s" % message, file=sys.stderr)
-    return 2
+def _poly_text(poly, prime):
+    """poly as text, followed by its value at prime when one is given."""
+    if prime is None:
+        return poly.text()
+    return "%s = %d" % (poly.text(), poly.eval_at(prime))
 
 
 def cmd_count(args):
-    t = args.type
-    b = args.b
-    m = t.weight
-    method = args.method
-    case = None
-    poly = None
-    value = None
-    if method == "oracle":
-        if args.prime is None:
-            return _error("--method oracle needs --prime")
-        try:
-            census = oracle.subgroup_census(t, args.prime, limit=args.oracle_limit)
-        except (oracle.GroupTooLarge, ValueError) as exc:
-            return _error(exc)
-        value = census.counts[b] if 0 <= b <= m else 0
-        used = "oracle"
+    t, b, prime = args.type, args.b, args.prime
+    case = poly = value = None
+    if args.method == "oracle":
+        if prime is None:
+            raise ValueError("--method oracle needs --prime")
+        census = oracle.subgroup_census(t, prime, limit=args.oracle_limit)
+        value = census.counts[b] if 0 <= b <= t.weight else 0
+        used, line = "oracle", str(value)
     else:
-        result = resolve_closed(t, b) if method != "recurrence" else None
+        result = resolve_closed(t, b) if args.method != "recurrence" else None
         if result is not None and result.covered:
             poly, case, used = result.value, result.case, "closed"
-        elif method == "closed":
-            return _error("no closed form covers type %s b=%d" % (t, b))
+        elif args.method == "closed":
+            raise ValueError("no closed form covers type %s b=%d" % (t, b))
         else:
             poly, used = count_hironaka(t, b), "recurrence"
-        if args.prime is not None:
-            value = poly.eval_at(args.prime)
-    if args.json:
-        print(_json_dump({
-            "type": t.to_json(),
-            "b": b,
-            "method": used,
-            "case": str(case) if case is not None else None,
-            "poly": poly.to_json() if poly is not None else None,
-            "prime": args.prime,
-            "value": value,
-        }))
-        return 0
-    if used == "oracle":
-        print(value)
-    elif args.prime is not None:
-        print("%s = %d" % (poly.text(), value))
-    elif case is not None:
-        print("%s (%s)" % (poly.text(), case))
-    elif used == "recurrence" and 0 <= b <= m:
-        print("%s (recurrence)" % poly.text())
-    else:
-        print(poly.text())
-    return 0
+        if prime is not None:
+            value = poly.eval_at(prime)
+            line = "%s = %d" % (poly.text(), value)
+        elif 0 <= b <= t.weight:
+            # name the route that answered
+            line = "%s (%s)" % (poly.text(), case if used == "closed" else used)
+        else:
+            line = poly.text()
+    return 0, {
+        "type": t.to_json(),
+        "b": b,
+        "method": used,
+        "case": str(case) if case is not None else None,
+        "poly": poly.to_json() if poly is not None else None,
+        "prime": prime,
+        "value": value,
+    }, [line]
 
 
 def cmd_table(args):
-    t = args.type
+    t, prime = args.type, args.prime
     rows = [(b, count_hironaka(t, b)) for b in range(0, t.weight + 1)]
     total = total_count(t)
-    if args.json:
-        print(_json_dump({
-            "type": t.to_json(),
-            "prime": args.prime,
-            "rows": [
-                {
-                    "b": b,
-                    "poly": poly.to_json(),
-                    "value": poly.eval_at(args.prime) if args.prime else None,
-                }
-                for b, poly in rows
-            ],
-            "total_poly": total.to_json(),
-            "total_value": total.eval_at(args.prime) if args.prime else None,
-        }))
-        return 0
-    for b, poly in rows:
-        if args.prime is not None:
-            print("b=%d: %s = %d" % (b, poly.text(), poly.eval_at(args.prime)))
-        else:
-            print("b=%d: %s" % (b, poly.text()))
-    if args.prime is not None:
-        print("total: %s = %d" % (total.text(), total.eval_at(args.prime)))
-    else:
-        print("total: %s" % total.text())
-    return 0
+    lines = ["b=%d: %s" % (b, _poly_text(poly, prime)) for b, poly in rows]
+    lines.append("total: " + _poly_text(total, prime))
+    return 0, {
+        "type": t.to_json(),
+        "prime": prime,
+        "rows": [{"b": b, "poly": poly.to_json(),
+                  "value": poly.eval_at(prime) if prime is not None else None}
+                 for b, poly in rows],
+        "total_poly": total.to_json(),
+        "total_value": total.eval_at(prime) if prime is not None else None,
+    }, lines
 
 
 def cmd_verify(args):
     results = verify.run_all(verify.Scale.of(args.max_rank, args.max_part, args.primes,
                                              args.oracle_limit))
     passed = all(r.passed for r in results)
-    if args.json:
-        # timings are excluded so the JSON output is reproducible
-        keys = ("check", "family", "passed", "counterexample", "compared")
-        print(_json_dump({"checks": [{k: getattr(r, k) for k in keys} for r in results],
-                          "passed": passed}))
-    else:
-        for r in results:
-            print("PASS %s (%s)" % (r.check, r.family) if r.passed
-                  else "FAIL %s: %s" % (r.check, r.counterexample))
-        bad = sum(not r.passed for r in results)
-        print("%d of %d checks failed" % (bad, len(results)) if bad
-              else "all %d checks passed" % len(results))
     for r in results:
         print("  %-28s %6.2fs" % (r.check, r.seconds), file=sys.stderr)
-    return 0 if passed else 1
+    lines = ["PASS %s (%s)" % (r.check, r.family) if r.passed
+             else "FAIL %s: %s" % (r.check, r.counterexample) for r in results]
+    bad = sum(not r.passed for r in results)
+    lines.append("%d of %d checks failed" % (bad, len(results)) if bad
+                 else "all %d checks passed" % len(results))
+    # timings are excluded so the JSON output is reproducible
+    keys = ("check", "family", "passed", "counterexample", "compared")
+    report = {"checks": [{k: getattr(r, k) for k in keys} for r in results],
+              "passed": passed}
+    return 0 if passed else 1, report, lines
 
 
 def _by_query(result):
@@ -209,26 +175,18 @@ def cmd_toth(args):
             "ok": all(held),
         })
     checked = len(list(_by_query(chains)))
-    if args.json:
-        print(_json_dump({
-            "equal_parts": equal_parts,
-            "chains": {
-                "max": args.chain_max,
-                "count": checked,
-                "all_ok": chains.passed,
-            },
-            "passed": ok,
-        }))
-        return 0 if ok else 1
-    for entry in equal_parts:
-        print("equal parts m=%d: degree %d, leading %d, matches recurrence: %s"
-              % (entry["m"], entry["degree"], entry["leading"],
-                 "yes" if entry["ok"] else "NO"))
-    print("chains up to %d: %d checked, %s" % (
+    lines = ["equal parts m=%d: degree %d, leading %d, matches recurrence: %s"
+             % (e["m"], e["degree"], e["leading"], "yes" if e["ok"] else "NO")
+             for e in equal_parts]
+    lines.append("chains up to %d: %d checked, %s" % (
         args.chain_max, checked, "all match" if chains.passed else "MISMATCH"))
     if equal_parts:
-        print("m=1 total at p=2: %d" % equal_parts[0]["total_at_2"])
-    return 0 if ok else 1
+        lines.append("m=1 total at p=2: %d" % equal_parts[0]["total_at_2"])
+    return 0 if ok else 1, {
+        "equal_parts": equal_parts,
+        "chains": {"max": args.chain_max, "count": checked, "all_ok": chains.passed},
+        "passed": ok,
+    }, lines
 
 
 def build_parser():
@@ -271,10 +229,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # parse and check every option before any command starts its work
+    args = build_parser().parse_args(argv)
     try:
+        # parse and check every option before any command starts its work
         if getattr(args, "type", None) is not None:
             args.type = _parse_type(args.type)
         if getattr(args, "prime", None) is not None:
@@ -285,9 +242,12 @@ def main(argv=None):
             if getattr(args, name) < 1:
                 raise ValueError("--%s must be at least 1, got %d" % (
                     name.replace("_", "-"), getattr(args, name)))
+        code, report, lines = args.fn(args)
     except ValueError as exc:
-        return _error(exc)
-    return args.fn(args)
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    print(json.dumps(report, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

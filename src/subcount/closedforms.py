@@ -13,7 +13,7 @@ the error says which case.  The classifiers that pick a case live here too.
 from collections import namedtuple
 from functools import cache
 
-from .groups import GroupType, OutOfRange, RankMismatch
+from .groups import GroupType, OutOfRange, RankMismatch, check_int
 from .polyring import ONE, IntPoly, NonExactDivision
 
 
@@ -180,18 +180,14 @@ def _of_rank(t, rank):
     return t
 
 
-def _check_b_type(b):
-    if not isinstance(b, int) or isinstance(b, bool):
-        raise TypeError("b must be an int, got %r" % (b,))
-
-
 def _check_b(b, m):
-    _check_b_type(b)
+    check_int("b", b)
     if not 0 <= b <= m:
         raise OutOfRange("b must lie in [0, %d], got %d" % (m, b))
 
 
 def _check_m(m):
+    check_int("m", m)
     if m < 1:
         raise ValueError("m must be at least 1, got %d" % m)
 
@@ -325,7 +321,7 @@ def rank3_with_case(t, b, case_no):
     The caller is responsible for picking a case whose interval admits
     (t, b); boundary tests use this to compare overlapping cases.
     """
-    _check_b_type(b)
+    check_int("b", b)
     return _evaluate(CaseId("rank3", case_no), _of_rank(t, 3), b)
 
 
@@ -457,12 +453,12 @@ def _rank4_interval_case(parts, b):
 
 
 def rank4_partial(t, b):
-    """Interval closed forms for rank 4; covered is False off the catalog."""
-    _check_b_type(b)
+    """Interval closed forms for rank 4; a b in [0, m] off the catalog is a miss."""
     parts = _of_rank(t, 4)
     m = sum(parts)
+    _check_b(b, m)
     case_no = _rank4_interval_case(parts, b)
-    if case_no is None and 0 <= b <= m:
+    if case_no is None:
         # count symmetry lets the same intervals serve the mirrored index
         b = m - b
         case_no = _rank4_interval_case(parts, b)
@@ -617,6 +613,8 @@ def leading_term_ccl(w, x, y, z):
 
 def gaussian_binomial(d, b):
     """The p-binomial coefficient [d choose b] as a polynomial."""
+    check_int("d", d)
+    check_int("b", b)
     if not 0 <= b <= d:
         raise OutOfRange("need 0 <= b <= d, got b=%d d=%d" % (b, d))
     value = IntPoly.one()

@@ -1,4 +1,4 @@
-"""Finite abelian p-group types and their errors.
+"""Finite abelian p-group types, their errors and the shared int check.
 
 A type is the multiset of exponents (a_1, ..., a_d): the group is the direct
 sum of cyclic factors of order p**a_i.  Types are stored ascending; zero parts
@@ -16,6 +16,12 @@ class RankMismatch(ValueError):
 
 class OutOfRange(ValueError):
     """Raised when an index lies outside its documented range."""
+
+
+def check_int(name, value):
+    """Raise a TypeError that names the argument unless value is an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an int, got %r" % (name, value))
 
 
 class GroupType(tuple):

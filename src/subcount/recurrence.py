@@ -13,7 +13,7 @@ import sys
 import threading
 from math import comb
 
-from .groups import GroupType
+from .groups import GroupType, check_int
 from .polyring import ONE, ZERO, IntPoly
 
 
@@ -48,6 +48,7 @@ _STEHLING_MEMO = MemoTable()
 def count_hironaka(t, b, memo=None):
     """Subgroup count of order p**b via the drop-largest-part recursion."""
     t = GroupType(t)
+    check_int("b", b)
     if memo is None:
         memo = _HIRONAKA_MEMO
     if b < 0 or b > t.weight:
@@ -100,6 +101,7 @@ def _extend_row(head_row, a):
 def count_stehling(t, b, memo=None):
     """Subgroup count of order p**b via the order-index descent recursion."""
     t = GroupType(t)
+    check_int("b", b)
     if memo is None:
         memo = _STEHLING_MEMO
     weight = t.weight

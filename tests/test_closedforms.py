@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, MMM_TABLES, FormulaBug, FormulaResult, LinForm,
     OrderViolation, RANK3_TABLES, anyrank_case1, assemble_table, classify_rank2,
-    classify_rank3, leading_term_ccl, merge_table, rank2, rank3, rank3_applicable_cases,
+    classify_rank3, gaussian_binomial, leading_term_ccl, merge_table, rank2, rank3, rank3_applicable_cases,
     rank3_mmm, rank3_with_case, rank4_mmmm_b, rank4_mmmm_total, rank4_partial,
     rank4_total_ccl, standard_denominator, substitute_table,
     verify_case6_specializations,
@@ -260,6 +260,13 @@ class TestRank4Partial:
         with pytest.raises(RankMismatch):
             rank4_partial((1, 1, 1), 0)
 
+    @pytest.mark.parametrize("b", [-1, 7])
+    def test_out_of_range(self, b):
+        # outside [0, m] is an error, as in every other closed form; a gap
+        # inside it is a miss
+        with pytest.raises(OutOfRange):
+            rank4_partial((1, 1, 2, 2), b)
+
 
 class TestChainTotals:
     def test_matches_recurrence(self):
@@ -342,6 +349,25 @@ def test_order_index_must_be_an_int(fn, t, b):
     # rank2 case 2 never reads b, so rank2((1, 2), 1.5) once returned p + 1
     with pytest.raises(TypeError, match="b must be an int"):
         fn(t, b)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rank3_mmm(True, 1), "m"),
+    (lambda: rank3_mmm(1.5, 2), "m"),
+    (lambda: rank4_mmmm_b(2.0, 3), "m"),
+    (lambda: rank4_mmmm_total(True), "m"),
+    (lambda: rank4_mmmm_total(2.0), "m"),
+    (lambda: gaussian_binomial(True, 1), "d"),
+    (lambda: gaussian_binomial(4.0, 1), "d"),
+    (lambda: gaussian_binomial(4, 1.5), "b"),
+    (lambda: gaussian_binomial(4, True), "b"),
+], ids=["rank3_mmm-bool", "rank3_mmm-float", "rank4_mmmm_b-float",
+        "rank4_mmmm_total-bool", "rank4_mmmm_total-float", "gaussian-bool-d",
+        "gaussian-float-d", "gaussian-float-b", "gaussian-bool-b"])
+def test_sizes_must_be_ints(call, name):
+    # a bool m once answered as m=1 and a float failed deep in IntPoly
+    with pytest.raises(TypeError, match="%s must be an int" % name):
+        call()
 
 
 def test_case_by_number_needs_an_int_order_index():

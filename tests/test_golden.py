@@ -16,6 +16,17 @@ from subcount.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 COMMANDS = {
+    "count.txt": ["count", "--type", "3,1,2", "--b", "3"],
+    "count-prime3.txt": ["count", "--type", "3,1,2", "--b", "3", "--prime", "3"],
+    "count.json": ["count", "--type", "3,1,2", "--b", "3", "--json"],
+    "count-recurrence.txt": [
+        "count", "--type", "3,1,2", "--b", "3", "--method", "recurrence"],
+    "count-oracle-prime2.txt": [
+        "count", "--type", "3,1,2", "--b", "3", "--method", "oracle", "--prime", "2"],
+    "table.txt": ["table", "--type", "2,2,1"],
+    "table-prime3.txt": ["table", "--type", "2,2,1", "--prime", "3"],
+    "table-prime3.json": ["table", "--type", "2,2,1", "--prime", "3", "--json"],
+    "verify.txt": ["verify"],
     "verify.json": ["verify", "--json"],
     # the benchmark's verify workload at seed 1
     "verify-oracle128-primes32.json": [

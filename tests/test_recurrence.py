@@ -45,6 +45,13 @@ class TestSpotValues:
         assert count_stehling((1, 2), -1) == ZERO
         assert count_stehling((1, 2), 4) == ZERO
 
+    @pytest.mark.parametrize("count", [count_hironaka, count_stehling])
+    @pytest.mark.parametrize("b", [True, 1.0, 1.5])
+    def test_order_index_must_be_an_int(self, count, b):
+        # a bool once read as b=1 and a float reached the tables
+        with pytest.raises(TypeError, match="b must be an int"):
+            count((1, 2), b)
+
     def test_empty_type(self):
         assert count_hironaka((), 0) == ONE
         assert count_hironaka((), 1) == ZERO
