@@ -37,24 +37,18 @@ def _parse_primes(text):
     return primes
 
 
-# ---------------------------------------------------------------------------
-# closed-form resolution shared by count and table
-# ---------------------------------------------------------------------------
-
 def resolve_closed(t, b):
     """Best covering closed form for (t, b), or a miss."""
     t = GroupType(t)
     if not 0 <= b <= t.weight:
         return closedforms.FormulaResult(IntPoly.zero(), None, True)
-    rank = t.rank
-    if rank == 2:
+    if t.rank == 2:
         return closedforms.rank2(t, b)
-    if rank == 3:
+    if t.rank == 3:
         return closedforms.rank3(t, b)
-    if rank == 4:
-        parts = t.parts
-        if parts[0] == parts[3]:
-            return closedforms.rank4_mmmm_b(parts[0], b)
+    if t.rank == 4:
+        if t[0] == t[3]:
+            return closedforms.rank4_mmmm_b(t[0], b)
         result = closedforms.rank4_partial(t, b)
         if result.covered:
             return result
@@ -66,6 +60,10 @@ def resolve_closed(t, b):
 # nothing to stdout; main prints the report or the lines
 # ---------------------------------------------------------------------------
 
+class UsageError(Exception):
+    """A request no command can answer as asked; unlike a ValueError, exits 2."""
+
+
 def _poly_text(poly, prime):
     """poly as text, followed by its value at prime when one is given."""
     if prime is None:
@@ -75,11 +73,12 @@ def _poly_text(poly, prime):
 
 def cmd_count(args):
     t, b, prime = args.type, args.b, args.prime
-    case = poly = value = None
+    case = poly = None
     if args.method == "oracle":
-        if prime is None:
-            raise ValueError("--method oracle needs --prime")
-        census = oracle.subgroup_census(t, prime, limit=args.oracle_limit)
+        try:
+            census = oracle.subgroup_census(t, prime, limit=args.oracle_limit)
+        except oracle.GroupTooLarge as exc:
+            raise UsageError(exc) from None
         value = census.counts[b] if 0 <= b <= t.weight else 0
         used, line = "oracle", str(value)
     else:
@@ -87,17 +86,14 @@ def cmd_count(args):
         if result is not None and result.covered:
             poly, case, used = result.value, result.case, "closed"
         elif args.method == "closed":
-            raise ValueError("no closed form covers type %s b=%d" % (t, b))
+            raise UsageError("no closed form covers type %s b=%d" % (t, b))
         else:
             poly, used = count_hironaka(t, b), "recurrence"
-        if prime is not None:
-            value = poly.eval_at(prime)
-            line = "%s = %d" % (poly.text(), value)
-        elif 0 <= b <= t.weight:
+        value = poly.eval_at(prime) if prime is not None else None
+        line = _poly_text(poly, prime)
+        if prime is None and 0 <= b <= t.weight:
             # name the route that answered
-            line = "%s (%s)" % (poly.text(), case if used == "closed" else used)
-        else:
-            line = poly.text()
+            line += " (%s)" % (case if used == "closed" else used,)
     return 0, {
         "type": t.to_json(),
         "b": b,
@@ -129,7 +125,6 @@ def cmd_table(args):
 def cmd_verify(args):
     results = verify.run_all(verify.Scale.of(args.max_rank, args.max_part, args.primes,
                                              args.oracle_limit))
-    passed = all(r.passed for r in results)
     for r in results:
         print("  %-28s %6.2fs" % (r.check, r.seconds), file=sys.stderr)
     lines = ["PASS %s (%s)" % (r.check, r.family) if r.passed
@@ -140,8 +135,8 @@ def cmd_verify(args):
     # timings are excluded so the JSON output is reproducible
     keys = ("check", "family", "passed", "counterexample", "compared")
     report = {"checks": [{k: getattr(r, k) for k in keys} for r in results],
-              "passed": passed}
-    return 0 if passed else 1, report, lines
+              "passed": not bad}
+    return 1 if bad else 0, report, lines
 
 
 def _by_query(result):
@@ -165,15 +160,9 @@ def cmd_toth(args):
         poly = group[0].got
         held += [False] * (4 - len(held))
         equal_parts.append({
-            "m": m,
-            "degree": poly.degree(),
-            "leading": poly.leading_coeff(),
-            "matches_recurrence": held[0],
-            "degree_ok": held[1],
-            "leading_ok": held[2],
-            "total_at_2": poly.eval_at(2),
-            "ok": all(held),
-        })
+            "m": m, "degree": poly.degree(), "leading": poly.leading_coeff(),
+            "matches_recurrence": held[0], "degree_ok": held[1], "leading_ok": held[2],
+            "total_at_2": poly.eval_at(2), "ok": all(held)})
     checked = len(list(_by_query(chains)))
     lines = ["equal parts m=%d: degree %d, leading %d, matches recurrence: %s"
              % (e["m"], e["degree"], e["leading"], "yes" if e["ok"] else "NO")
@@ -228,22 +217,31 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def _check_options(args):
+    """Parse and check every option before any command starts its work."""
     try:
-        # parse and check every option before any command starts its work
         if getattr(args, "type", None) is not None:
             args.type = _parse_type(args.type)
         if getattr(args, "prime", None) is not None:
             oracle._check_prime(args.prime)
         if args.command == "verify":
             args.primes = _parse_primes(args.primes)
+        if getattr(args, "method", None) == "oracle" and args.prime is None:
+            raise ValueError("--method oracle needs --prime")
         for name in args.positive:
             if getattr(args, name) < 1:
                 raise ValueError("--%s must be at least 1, got %d" % (
                     name.replace("_", "-"), getattr(args, name)))
-        code, report, lines = args.fn(args)
     except ValueError as exc:
+        raise UsageError(exc) from None
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    try:
+        _check_options(args)
+        code, report, lines = args.fn(args)
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2) if args.json else "\n".join(lines))

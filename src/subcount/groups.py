@@ -38,8 +38,7 @@ class GroupType(tuple):
             return parts
         cleaned = []
         for a in parts:
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise TypeError("parts must be ints, got %r" % (a,))
+            check_int("type part", a)
             if a < 0:
                 raise NegativePart("type parts must be nonnegative, got %d" % a)
             if a > 0:

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount import closedforms, genfun, oracle, verify
+from subcount import cli, closedforms, genfun, oracle, verify
 from subcount.cli import main, resolve_closed
 from subcount.groups import GroupType
 from subcount.polyring import ONE, ZERO
@@ -470,6 +470,27 @@ def test_bad_input_exits_2_before_any_check(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("count", "--type", "1,2", "--b", "1", "--method", "recurrence"), cli, "count_hironaka"),
+    (("count", "--type", "1,2", "--b", "1", "--method", "oracle", "--prime", "2"),
+     oracle, "subgroup_census"),
+    (("table", "--type", "1,2", "--prime", "3"), cli, "total_count"),
+    (("verify",), verify, "run_all"),
+    (("toth",), verify, "run"),
+], ids=["count", "count-oracle", "table", "verify", "toth"])
+def test_value_error_while_computing_is_not_a_usage_error(capsys, monkeypatch,
+                                                          argv, module, name):
+    # only a bad option or a query no route answers exits 2; a fault in the
+    # counting code stays a traceback
+    def broken(*args, **kwargs):
+        raise ValueError("fault while computing")
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(ValueError, match="fault while computing"):
+        main(list(argv))
+    assert capsys.readouterr() == ("", "")
 
 
 BAD_TOKENS = ("x", "", " ", "1.5", "2x", "-", "1e3")

@@ -30,7 +30,7 @@ class TestGroupType:
 
     def test_rejects_non_int_parts(self):
         for parts in ((1.5,), ("1",)):
-            with pytest.raises(TypeError, match="parts must be ints"):
+            with pytest.raises(TypeError, match="type part must be an int"):
                 GroupType(parts)
 
     def test_rank_and_weight(self):
