@@ -5,16 +5,20 @@ integer-linear expressions in a1, a2, a3 (the three smallest parts, 0 past
 the rank) and the order index b; on the equal-part types (m, m, m) and
 (m, m, m, m) the tables read a1 = m.  ``CATALOGS`` holds each family's tables
 under its tag, and one evaluator serves them all: it assembles a table into a
-numerator polynomial and divides it exactly by the standard denominator
-prod_{i<rank} (p**i - 1).  A division remainder means a table is wrong, and
-the error says which case.  The classifiers that pick a case live here too.
+numerator coefficient list and divides it exactly by the standard
+denominator prod_{i<rank} (p**i - 1), one factor p**i - 1 at a time.  Each
+such pass is a running sum over the residue classes of the exponents mod i.
+A pass that leaves a remainder means a table is wrong: only then does the
+generic long division run, to give the remainder that ``FormulaBug`` reports
+with the case.  The classifiers that pick a case live here too.
 """
 
 from collections import namedtuple
-from functools import cache
+from itertools import accumulate
+from math import prod
 
 from .groups import GroupType, OutOfRange, RankMismatch, check_int
-from .polyring import ONE, IntPoly, NonExactDivision
+from .polyring import ONE, IntPoly
 
 
 class OrderViolation(ValueError):
@@ -105,14 +109,14 @@ class LinForm(namedtuple("LinForm", "coeffs const")):
 L = LinForm.of
 
 
-# every table evaluation divides by one of a few of these; IntPoly is immutable
-@cache
 def standard_denominator(k):
-    """prod_{i=1}^{k} (p**i - 1)."""
-    den = ONE
-    for i in range(1, k + 1):
-        den = den * (IntPoly.term(1, i) - 1)
-    return den
+    """prod_{i=1}^{k} (p**i - 1), the denominator of every rank-(k + 1) table."""
+    return _pm1_product(range(1, k + 1))
+
+
+def _pm1_product(steps):
+    """prod (p**i - 1) over steps, as an IntPoly."""
+    return prod((IntPoly.term(1, i) - 1 for i in steps), start=ONE)
 
 
 def substitute_table(table, mapping):
@@ -142,25 +146,50 @@ def assemble_table(table, env):
     The terms are summed into one coefficient list, so the table builds one
     IntPoly; a term with a nonzero coefficient needs a nonnegative exponent.
     """
+    a1, a2, a3, b = env["a1"], env["a2"], env["a3"], env["b"]
     terms = []
-    for coeff, exp in table:
-        c = coeff.eval(env)
+    # each LinForm is ((a1, a2, a3, b) coefficients, constant)
+    for ((c1, c2, c3, cb), c), ((e1, e2, e3, eb), e) in table:
+        c += c1 * a1 + c2 * a2 + c3 * a3 + cb * b
         if c:
-            e = exp.eval(env)
+            e += e1 * a1 + e2 * a2 + e3 * a3 + eb * b
             if e < 0:
                 raise ValueError("exponent must be nonnegative, got %d" % e)
             terms.append((e, c))
     coeffs = [0] * (max(terms)[0] + 1 if terms else 0)
     for e, c in terms:
         coeffs[e] += c
-    return IntPoly(coeffs)
+    # int table entries at int parts and b give int coefficients
+    return IntPoly._trusted(coeffs)
 
 
-def _divide(numerator, denominator, case):
-    try:
-        return numerator.exact_div(denominator)
-    except NonExactDivision as exc:
-        raise FormulaBug(case, exc.remainder) from exc
+def _divide_pm1(coeffs, steps):
+    """Divide a coefficient sequence by p**i - 1 for each i in steps, in turn.
+
+    N = Q * (p**i - 1) reads n_j = q_(j-i) - q_j, so q_j is minus the
+    running sum s_j of the n_l with l = j mod i, l <= j, and N divides
+    exactly iff the last i running sums are 0.  Returns the quotient's
+    coefficient list (which may end in zeros), or None when a pass leaves a
+    remainder.
+    """
+    for i in steps:
+        sums = list(coeffs)
+        for r in range(i):
+            sums[r::i] = accumulate(coeffs[r::i])
+        if any(sums[-i:]):
+            return None
+        coeffs = [-s for s in sums[:-i]]
+    return coeffs
+
+
+def _divide(numerator, steps, case):
+    """numerator / prod(p**i - 1 for i in steps); a remainder raises FormulaBug."""
+    quotient = _divide_pm1(numerator.coeffs, steps)
+    if quotient is None:
+        # the passes stop at the first remainder; the error reports the
+        # remainder of the whole division
+        raise FormulaBug(case, numerator.divmod(_pm1_product(steps))[1])
+    return IntPoly._trusted(quotient)
 
 
 def _evaluate(case, parts, b):
@@ -168,8 +197,7 @@ def _evaluate(case, parts, b):
     a1, a2, a3 = (*parts, 0, 0)[:3]
     numerator = assemble_table(CATALOGS[case.family][case.case],
                                {"a1": a1, "a2": a2, "a3": a3, "b": b})
-    return FormulaResult(
-        _divide(numerator, standard_denominator(len(parts) - 1), case), case, True)
+    return FormulaResult(_divide(numerator, range(1, len(parts)), case), case, True)
 
 
 def _of_rank(t, rank):
@@ -566,7 +594,7 @@ def rank4_mmmm_total(m):
         4 * m + 9,
         4 * m + 7,
     ))
-    return _divide(head - mid - tail, (p2 - 1) ** 2 * (p3 - 1) ** 2, "rank4-mmmm total")
+    return _divide(head - mid - tail, (2, 2, 3, 3), "rank4-mmmm total")
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +648,8 @@ def gaussian_binomial(d, b):
     value = IntPoly.one()
     for i in range(1, b + 1):
         value = value * (IntPoly.term(1, d - b + i) - 1)
-        value = value.exact_div(IntPoly.term(1, i) - 1)
+        # value is [d - b + i choose i] * (p**i - 1), so the pass is exact
+        value = IntPoly._trusted(_divide_pm1(value.coeffs, (i,)))
     return value
 
 

@@ -20,6 +20,8 @@ class OutOfRange(ValueError):
 
 def check_int(name, value):
     """Raise a TypeError that names the argument unless value is an int, not a bool."""
+    if value.__class__ is int:  # the common case, in one test
+        return
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError("%s must be an int, got %r" % (name, value))
 

@@ -22,6 +22,14 @@ class NonExactDivision(ArithmeticError):
         self.remainder = remainder
 
 
+def _check_exponent(name, k):
+    """Raise unless k is an int, not a bool, and k >= 0; name goes in the message."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError("%s must be an int, got %r" % (name, k))
+    if k < 0:
+        raise ValueError("%s must be nonnegative, got %d" % (name, k))
+
+
 class IntPoly:
     """Immutable integer polynomial."""
 
@@ -64,8 +72,7 @@ class IntPoly:
         """The monomial coeff * p**exponent."""
         if isinstance(coeff, bool) or not isinstance(coeff, int):
             raise TypeError("coefficients must be ints, got %r" % (coeff,))
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative, got %d" % exponent)
+        _check_exponent("exponent", exponent)
         if coeff == 0:
             return cls()
         return cls._trusted([0] * exponent + [coeff])
@@ -145,8 +152,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
+        _check_exponent("exponent", n)
         result = IntPoly.one()
         base = self
         while n:
@@ -158,8 +164,7 @@ class IntPoly:
 
     def shift(self, k):
         """Multiply by p**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        _check_exponent("shift", k)
         if not self._coeffs:
             return self
         return IntPoly._trusted([0] * k + list(self._coeffs))

@@ -2,15 +2,15 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcount.closedforms import (
-    CASE6_SPECIALIZATIONS, MMM_TABLES, FormulaBug, FormulaResult, LinForm,
-    OrderViolation, RANK3_TABLES, anyrank_case1, assemble_table, classify_rank2,
-    classify_rank3, gaussian_binomial, leading_term_ccl, merge_table, rank2, rank3, rank3_applicable_cases,
-    rank3_mmm, rank3_with_case, rank4_mmmm_b, rank4_mmmm_total, rank4_partial,
-    rank4_total_ccl, standard_denominator, substitute_table,
-    verify_case6_specializations,
+    CASE6_SPECIALIZATIONS, CATALOGS, MMM_TABLES, CaseId, FormulaBug, FormulaResult, LinForm,
+    OrderViolation, RANK3_TABLES, _divide_pm1, _rank4_interval_case, anyrank_case1,
+    assemble_table, classify_rank2, classify_rank3, gaussian_binomial, leading_term_ccl,
+    merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
+    rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl, standard_denominator,
+    substitute_table, verify_case6_specializations,
 )
 from subcount.groups import GroupType, OutOfRange, RankMismatch
 from subcount.polyring import IntPoly, ONE, ZERO
@@ -67,6 +67,38 @@ def assemble_term_by_term(table, env):
     return acc
 
 
+def env_at(parts, b):
+    """The table variables at ascending parts and b; a part past the rank reads 0."""
+    a1, a2, a3 = (*parts, 0, 0)[:3]
+    return {"a1": a1, "a2": a2, "a3": a3, "b": b}
+
+
+def assert_perturbation_raises(family, case_no, field, evaluate, t, b):
+    """Add 1 to the coefficient or exponent constant of a table's first term.
+
+    evaluate(t, b) must then raise FormulaBug naming the case, with the
+    remainder of the generic long division by the standard denominator.
+    """
+    tables = CATALOGS[family]
+    original = tables[case_no]
+    coeff, expo = original[0]
+    if field == "coefficient":
+        coeff = LinForm(coeff.coeffs, coeff.const + 1)
+    else:
+        expo = LinForm(expo.coeffs, expo.const + 1)
+    tables[case_no] = ((coeff, expo),) + original[1:]
+    try:
+        with pytest.raises(FormulaBug) as info:
+            evaluate(t, b)
+        numerator = assemble_term_by_term(tables[case_no], env_at(t, b))
+    finally:
+        tables[case_no] = original
+    _, remainder = numerator.divmod(standard_denominator(len(t) - 1))
+    assert str(CaseId(family, case_no)) in str(info.value)
+    assert info.value.remainder == remainder and not remainder.is_zero
+    return numerator
+
+
 lin_forms = st.builds(LinForm, st.tuples(*[st.integers(-2, 3)] * 4), st.integers(-3, 9))
 term_tables = st.lists(st.tuples(lin_forms, lin_forms), max_size=10).map(tuple)
 envs = st.fixed_dictionaries({name: st.integers(0, 6) for name in LinForm.VARS})
@@ -100,6 +132,98 @@ class TestAssembleTable:
                 assemble(table, env)
         # a zero coefficient leaves its exponent unread, as before
         assert assemble_table(((L(0), L(-1)),), env) == ZERO
+
+
+def pm1(i):
+    return IntPoly.term(1, i) - 1
+
+
+small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=12))
+
+
+class TestDividePm1:
+    """The p**i - 1 passes against IntPoly.divmod."""
+
+    @given(small_polys, st.integers(1, 6))
+    @example(ZERO, 3)
+    def test_exact_multiples(self, g, i):
+        assert IntPoly(_divide_pm1(list((g * pm1(i)).coeffs), (i,))) == g
+
+    @given(small_polys, st.integers(1, 6))
+    @example(ZERO, 4)
+    @example(IntPoly((2, 0, -1)), 3)
+    @example(IntPoly((0, 0, 0, 0, 0, 7)), 6)
+    def test_remainder_exactly_when_divmod_has_one(self, f, i):
+        quotient, remainder = f.divmod(pm1(i))
+        got = _divide_pm1(list(f.coeffs), (i,))
+        assert (got is None) == (not remainder.is_zero)
+        if got is not None:
+            assert IntPoly(got) == quotient
+
+    @pytest.mark.parametrize("i", range(1, 7))
+    def test_zero_and_low_degree_numerators(self, i):
+        assert _divide_pm1([], (i,)) == []
+        for degree in range(i):
+            assert _divide_pm1(list(IntPoly.term(5, degree).coeffs), (i,)) is None
+
+    @given(small_polys, st.lists(st.integers(1, 6), max_size=4))
+    @settings(max_examples=60)
+    def test_several_passes(self, g, steps):
+        den = IntPoly.one()
+        for i in steps:
+            den = den * pm1(i)
+        assert IntPoly(_divide_pm1(list((g * den).coeffs), steps)) == g
+        if steps:
+            # every p**i - 1 vanishes at p = 1, and g * den + 1 does not
+            assert _divide_pm1(list((g * den + 1).coeffs), steps) is None
+
+
+def catalog_queries():
+    """(result, ascending parts, b) for every catalog case each closed form
+    evaluates, at parts <= 6 and equal parts m <= 6; rank3 gives every case
+    that admits (t, b), rank4_partial only the b its intervals take unmirrored."""
+    for t in types_of_rank(2, 6):
+        for b in range(t.weight + 1):
+            yield rank2(t, b), t, b
+    for t in types_of_rank(3, 6):
+        for b in range(t.weight + 1):
+            for k in rank3_applicable_cases(t, b):
+                yield rank3_with_case(t, b, k), t, b
+    for t in types_of_rank(4, 6):
+        for b in range(t.weight + 1):
+            if _rank4_interval_case(t, b) is not None:
+                yield rank4_partial(t, b), t, b
+    for m in range(1, 7):
+        for b in range(3 * m + 1):
+            yield rank3_mmm(m, b), (m,) * 3, b
+        for b in range(4 * m + 1):
+            yield rank4_mmmm_b(m, b), (m,) * 4, b
+
+
+class TestEvaluator:
+    def test_every_catalog_case_matches_the_generic_route(self):
+        seen = set()
+        for res, parts, b in catalog_queries():
+            table = CATALOGS[res.case.family][res.case.case]
+            want = assemble_term_by_term(table, env_at(parts, b)).exact_div(
+                standard_denominator(len(parts) - 1))
+            assert res.value == want, (res.case, parts, b)
+            seen.add(res.case)
+        assert seen == {CaseId(f, k) for f, tables in CATALOGS.items() for k in tables}
+
+    @pytest.mark.parametrize("family, case_no, field, evaluate, t, b, failing_pass", [
+        # k = 1: the only pass finds the remainder
+        ("rank2", 1, "coefficient", rank2, GroupType((2, 3)), 1, 1),
+        # k = 3: an exponent moved by one still divides by p - 1, so the
+        # second pass finds the remainder
+        ("rank4-partial", 2, "exponent", rank4_partial, GroupType((1, 2, 3, 4)), 2, 2),
+    ], ids=["rank2", "rank4-partial"])
+    def test_perturbed_table_raises(self, family, case_no, field, evaluate, t, b,
+                                    failing_pass):
+        numerator = list(assert_perturbation_raises(
+            family, case_no, field, evaluate, t, b).coeffs)
+        assert _divide_pm1(numerator, range(1, failing_pass)) is not None
+        assert _divide_pm1(numerator, range(1, failing_pass + 1)) is None
 
 
 class TestRank2:
@@ -166,21 +290,7 @@ class TestRank3:
             if target:
                 break
         assert target is not None
-        original = RANK3_TABLES[6]
-        coeff, expo = original[0]
-        bumped = LinForm(coeff.coeffs, coeff.const + 1)
-        RANK3_TABLES[6] = ((bumped, expo),) + original[1:]
-        try:
-            with pytest.raises(FormulaBug) as info:
-                rank3(*target)
-            assert "rank3 Case 6" in str(info.value)
-            t, b = target
-            env = dict(zip(("a1", "a2", "a3", "b"), (*t.parts, b)))
-            _, remainder = assemble_term_by_term(RANK3_TABLES[6], env).divmod(
-                standard_denominator(2))
-            assert info.value.remainder == remainder
-        finally:
-            RANK3_TABLES[6] = original
+        assert_perturbation_raises("rank3", 6, "coefficient", rank3, *target)
         assert verify_case6_specializations() == []
 
 
@@ -324,6 +434,15 @@ class TestAnyRank:
     def test_rank_one_and_zero(self):
         assert anyrank_case1((4,), 2).value == ONE
         assert anyrank_case1((), 0).value == ONE
+
+    def test_gaussian_binomial_matches_the_product_route(self):
+        for d in range(14):
+            for b in range(d + 1):
+                num = den = IntPoly.one()
+                for i in range(1, b + 1):
+                    num = num * pm1(d - b + i)
+                    den = den * pm1(i)
+                assert gaussian_binomial(d, b) == num.exact_div(den), (d, b)
 
     def test_gaussian_shape_for_elementary(self):
         # on (1,...,1) with b = 1 the product is 1 + p + ... + p^(d-1)

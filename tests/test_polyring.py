@@ -81,6 +81,30 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             P.shift(-1)
 
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda: IntPoly.term(1, True), "exponent", "True"),
+        (lambda: IntPoly.term(1, 2.0), "exponent", "2.0"),
+        (lambda: P ** True, "exponent", "True"),
+        (lambda: P ** 2.0, "exponent", "2.0"),
+        (lambda: P.shift(True), "shift", "True"),
+        (lambda: P.shift(1.0), "shift", "1.0"),
+        (lambda: ZERO.shift(True), "shift", "True"),
+    ], ids=["term-bool", "term-float", "pow-bool", "pow-float", "shift-bool",
+            "shift-float", "zero-shift-bool"])
+    def test_exponent_must_be_an_int(self, call, name, value):
+        # a bool once read as 1, and a float failed inside list repetition
+        with pytest.raises(TypeError, match="%s must be an int, got %s" % (name, value)):
+            call()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: IntPoly.term(1, -1), "exponent"),
+        (lambda: P ** -1, "exponent"),
+        (lambda: P.shift(-1), "shift"),
+    ], ids=["term", "pow", "shift"])
+    def test_negative_exponent_is_a_value_error(self, call, name):
+        with pytest.raises(ValueError, match="%s must be nonnegative, got -1" % name):
+            call()
+
     @given(polys, polys)
     def test_add_commutes(self, f, g):
         assert f + g == g + f
