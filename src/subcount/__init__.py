@@ -6,7 +6,7 @@ from .closedforms import (
     FormulaResult,
     OrderViolation,
     anyrank_case1,
-    classify_rank3,
+    closed_form,
     gaussian_binomial,
     leading_term_ccl,
     rank2,
@@ -51,7 +51,7 @@ __all__ = [
     "RankMismatch",
     "ZeroPolynomial",
     "anyrank_case1",
-    "classify_rank3",
+    "closed_form",
     "count_hironaka",
     "count_stehling",
     "expand_rational",

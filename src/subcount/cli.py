@@ -11,7 +11,6 @@ from itertools import groupby
 
 from . import closedforms, oracle, verify
 from .groups import GroupType
-from .polyring import IntPoly
 from .recurrence import count_hironaka, total_count
 
 
@@ -35,24 +34,6 @@ def _parse_primes(text):
     for p in primes:
         oracle._check_prime(p)
     return primes
-
-
-def resolve_closed(t, b):
-    """Best covering closed form for (t, b), or a miss."""
-    t = GroupType(t)
-    if not 0 <= b <= t.weight:
-        return closedforms.FormulaResult(IntPoly.zero(), None, True)
-    if t.rank == 2:
-        return closedforms.rank2(t, b)
-    if t.rank == 3:
-        return closedforms.rank3(t, b)
-    if t.rank == 4:
-        if t[0] == t[3]:
-            return closedforms.rank4_mmmm_b(t[0], b)
-        result = closedforms.rank4_partial(t, b)
-        if result.covered:
-            return result
-    return closedforms.anyrank_case1(t, b)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +63,7 @@ def cmd_count(args):
         value = census.counts[b] if 0 <= b <= t.weight else 0
         used, line = "oracle", str(value)
     else:
-        result = resolve_closed(t, b) if args.method != "recurrence" else None
+        result = closedforms.closed_form(t, b) if args.method != "recurrence" else None
         if result is not None and result.covered:
             poly, case, used = result.value, result.case, "closed"
         elif args.method == "closed":

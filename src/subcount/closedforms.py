@@ -10,7 +10,8 @@ denominator prod_{i<rank} (p**i - 1), one factor p**i - 1 at a time.  Each
 such pass is a running sum over the residue classes of the exponents mod i.
 A pass that leaves a remainder means a table is wrong: only then does the
 generic long division run, to give the remainder that ``FormulaBug`` reports
-with the case.  The classifiers that pick a case live here too.
+with the case.  ``closed_form`` picks the family that answers a query (t, b),
+and each family picks its own case.
 """
 
 from collections import namedtuple
@@ -18,7 +19,7 @@ from itertools import accumulate
 from math import prod
 
 from .groups import GroupType, OutOfRange, RankMismatch, check_int
-from .polyring import ONE, IntPoly
+from .polyring import ONE, ZERO, IntPoly
 
 
 class OrderViolation(ValueError):
@@ -220,11 +221,11 @@ def _check_m(m):
         raise ValueError("m must be at least 1, got %d" % m)
 
 
-def _equal_part_case(m, b, rank):
-    """Case k of the type (m,) * rank covers (k - 1)m < b <= km; case 1 also b = 0."""
+def _equal_parts(family, m, b, rank):
+    """The type (m,) * rank at b: case k covers (k - 1)m < b <= km, case 1 also b = 0."""
     _check_m(m)
     _check_b(b, rank * m)
-    return max(1, -(-b // m))
+    return _evaluate(CaseId(family, max(1, -(-b // m))), (m,) * rank, b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +240,11 @@ RANK2_TABLES = {
 }
 
 
-def classify_rank2(t, b):
-    """Pick the rank-2 case for (t, b); ties go to the lowest case number."""
-    a1, a2 = _of_rank(t, 2)
-    _check_b(b, a1 + a2)
-    return CaseId("rank2", 1 if b <= a1 else 2 if b <= a2 else 3)
-
-
 def rank2(t, b):
-    """Closed-form count for a rank-2 type; covers every b in [0, m]."""
-    return _evaluate(classify_rank2(t, b), GroupType(t), b)
+    """Closed-form count for a rank-2 type; every b in [0, m], ties to the lower case."""
+    a1, a2 = t = _of_rank(t, 2)
+    _check_b(b, a1 + a2)
+    return _evaluate(CaseId("rank2", 1 if b <= a1 else 2 if b <= a2 else 3), t, b)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +305,9 @@ RANK3_TABLES[9] = substitute_table(RANK3_TABLES[2], _REFLECT_B)
 RANK3_TABLES[10] = substitute_table(RANK3_TABLES[1], _REFLECT_B)
 
 
-def rank3_applicable_cases(t, b):
-    """All rank-3 case numbers whose interval admits (t, b), ascending."""
-    a1, a2, a3 = _of_rank(t, 3)
+def _rank3_chambers(t, b):
+    """t as a rank-3 type and the cases admitting b, ascending; each b in [0, m] has one."""
+    a1, a2, a3 = t = _of_rank(t, 3)
     m = a1 + a2 + a3
     _check_b(b, m)
     conds = (
@@ -326,31 +322,30 @@ def rank3_applicable_cases(t, b):
         (9, a1 + a3 <= b <= a2 + a3),
         (10, a2 + a3 <= b <= m),
     )
-    return [k for k, ok in conds if ok]
+    return t, [k for k, ok in conds if ok]
 
 
-def classify_rank3(t, b):
-    """Pick the rank-3 case for (t, b); ties go to the lowest case number."""
-    cases = rank3_applicable_cases(t, b)
-    if not cases:
-        # the ten intervals cover every b in [0, m]; reaching this is a bug
-        raise RuntimeError("no rank-3 case covers %s b=%d" % (GroupType(t), b))
-    return CaseId("rank3", cases[0])
+def rank3_applicable_cases(t, b):
+    """All rank-3 case numbers whose interval admits (t, b), ascending."""
+    return _rank3_chambers(t, b)[1]
 
 
 def rank3(t, b):
-    """Closed-form count for a rank-3 type; covers every b in [0, m]."""
-    return _evaluate(classify_rank3(t, b), _of_rank(t, 3), b)
+    """Closed-form count for a rank-3 type; every b in [0, m], ties to the lowest case."""
+    t, cases = _rank3_chambers(t, b)
+    return _evaluate(CaseId("rank3", cases[0]), t, b)
 
 
 def rank3_with_case(t, b, case_no):
-    """Evaluate one specific rank-3 case table at (t, b).
+    """One rank-3 case table at (t, b), to compare overlapping cases.
 
-    The caller is responsible for picking a case whose interval admits
-    (t, b); boundary tests use this to compare overlapping cases.
+    A case whose interval does not admit (t, b) raises OutOfRange.
     """
-    check_int("b", b)
-    return _evaluate(CaseId("rank3", case_no), _of_rank(t, 3), b)
+    t, cases = _rank3_chambers(t, b)
+    case = CaseId("rank3", case_no)
+    if case_no not in cases:
+        raise OutOfRange("%s does not admit type %s b=%d" % (case, t, b))
+    return _evaluate(case, t, b)
 
 
 # substitutions that specialize the case-6 table to each other case
@@ -411,7 +406,7 @@ MMM_TABLES[1] = RANK3_TABLES[1]
 
 def rank3_mmm(m, b):
     """Closed-form count for the type (m, m, m)."""
-    return _evaluate(CaseId("rank3-mmm", _equal_part_case(m, b, 3)), (m,) * 3, b)
+    return _equal_parts("rank3-mmm", m, b, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +568,7 @@ CASE_RANGES = {**{family: len(tables) for family, tables in CATALOGS.items()},
 
 def rank4_mmmm_b(m, b):
     """Closed-form count for the type (m, m, m, m) at order index b."""
-    return _evaluate(CaseId("rank4-mmmm", _equal_part_case(m, b, 4)), (m,) * 4, b)
+    return _equal_parts("rank4-mmmm", m, b, 4)
 
 
 def rank4_mmmm_total(m):
@@ -670,3 +665,26 @@ def anyrank_case1(t, b):
         return FormulaResult.miss()
     d = max(t.rank, 1)
     return FormulaResult(gaussian_binomial(b + d - 1, d - 1), case, True)
+
+
+# ---------------------------------------------------------------------------
+# the one dispatcher: which family answers (t, b)
+# ---------------------------------------------------------------------------
+
+def closed_form(t, b):
+    """The closed form that answers (t, b), or a miss; a b outside [0, m] counts 0.
+
+    Ranks 2 and 3 cover every b, rank 4 misses between its intervals, and the
+    other ranks miss for a1 < b < m - a1.
+    """
+    t = GroupType(t)
+    if not 0 <= b <= t.weight:
+        return FormulaResult(ZERO, None, True)
+    if t.rank == 2:
+        return rank2(t, b)
+    if t.rank == 3:
+        return rank3(t, b)
+    if t.rank == 4:
+        # the intervals take b <= a1 and its mirror, all the product formula covers
+        return rank4_mmmm_b(t[0], b) if t[0] == t[3] else rank4_partial(t, b)
+    return anyrank_case1(t, b)

@@ -26,15 +26,13 @@ Result = namedtuple("Result", "check family passed counterexample compared secon
                                "records")
 
 
-class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max chain_max "
-                                "census_pairs")):
-    """Family bounds of one run; census pairs of None are derived from the rest."""
+class Scale(namedtuple("Scale", "max_rank max_part primes oracle_limit m4_max chain_max")):
+    """Family bounds of one run."""
 
     @classmethod
     def of(cls, max_rank=4, max_part=5, primes=(2, 3), oracle_limit=256, **bounds):
         """The bounds of ``subcount verify``; any of the other fields may be given."""
-        derived = dict(m4_max=min(3, max_part), chain_max=min(3, max_part),
-                       census_pairs=None)
+        derived = dict(m4_max=min(3, max_part), chain_max=min(3, max_part))
         derived.update(bounds)
         return cls(max_rank, max_part, tuple(primes), oracle_limit, **derived)
 
@@ -70,8 +68,6 @@ def _at_type(t, b):
 
 
 def _census_pairs(s):
-    if s.census_pairs is not None:
-        return s.census_pairs
     return [(t, p) for p in s.primes for t in _types(s.max_rank, s.max_part)
             if p ** sum(t) <= s.oracle_limit
             and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT]

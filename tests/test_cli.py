@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcount import cli, closedforms, genfun, oracle, verify
-from subcount.cli import main, resolve_closed
+from subcount.cli import main
 from subcount.groups import GroupType
-from subcount.polyring import ONE, ZERO
+from subcount.polyring import ONE
 from subcount.recurrence import count_hironaka
 
 SMALL_BATTERY = ("verify", "--max-rank", "3", "--max-part", "2",
@@ -172,7 +172,7 @@ class TestCount:
         }
 
     def test_json_method_names_the_route_that_answered(self, capsys):
-        # resolve_closed answers a b past the weight, unless the recurrence is asked
+        # closed_form answers a b past the weight, unless the recurrence is asked
         for method, used in (("closed", "closed"), ("auto", "closed"),
                              ("recurrence", "recurrence")):
             code, out, _ = run(capsys, "count", "--type", "1,1", "--b", "5",
@@ -554,23 +554,6 @@ def test_boundary_input_exits_0_or_2(argv):
     else:
         got = [int(line.rsplit("= ", 1)[1]) for line in out.getvalue().splitlines()[:-1]]
     assert got == [count_hironaka(t, b).eval_at(p) for b in range(t.weight + 1)], argv
-
-
-class TestResolveClosed:
-    def test_out_of_range_is_zero_and_covered(self):
-        res = resolve_closed(GroupType((1, 1)), 9)
-        assert res.covered and res.value == ZERO and res.case is None
-
-    def test_rank_dispatch(self):
-        assert str(resolve_closed(GroupType((1, 2)), 1).case) == "rank2 Case 1"
-        assert str(resolve_closed(GroupType((2, 2, 2)), 1).case) == "rank3 Case 1"
-        assert str(resolve_closed(GroupType((2, 2, 2, 2)), 1).case) == "rank4-mmmm Case 1"
-        assert str(resolve_closed(GroupType((1, 2, 3, 4)), 2).case) == "rank4-partial Case 2"
-        assert str(resolve_closed(GroupType((1, 1, 1, 1, 1)), 1).case) == "anyrank Case 1"
-        assert str(resolve_closed(GroupType(()), 0).case) == "anyrank Case 1"
-
-    def test_rank4_gap_misses(self):
-        assert not resolve_closed(GroupType((1, 1, 4, 4)), 5).covered
 
 
 @pytest.mark.skipif(shutil.which("subcount") is None,

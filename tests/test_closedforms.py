@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, CATALOGS, MMM_TABLES, CaseId, FormulaBug, FormulaResult, LinForm,
     OrderViolation, RANK3_TABLES, _divide_pm1, _rank4_interval_case, anyrank_case1,
-    assemble_table, classify_rank2, classify_rank3, gaussian_binomial, leading_term_ccl,
+    assemble_table, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl, standard_denominator,
     substitute_table, verify_case6_specializations,
@@ -106,6 +106,8 @@ envs = st.fixed_dictionaries({name: st.integers(0, 6) for name in LinForm.VARS})
 
 class TestAssembleTable:
     @given(term_tables, envs)
+    # exponent -1, the first value a check off by one lets through
+    @example(((L(1), L(3)), (L(2), L(1, a1=1, b=-1))), {"a1": 2, "a2": 3, "a3": 5, "b": 4})
     @settings(max_examples=300, deadline=None)
     def test_matches_term_by_term(self, table, env):
         try:
@@ -129,6 +131,11 @@ class TestAssembleTable:
         table = ((L(1), L(3)), (L(2), L(-1, a1=1, b=-1)))
         for assemble in (assemble_term_by_term, assemble_table):
             with pytest.raises(ValueError, match="exponent must be nonnegative, got -3"):
+                assemble(table, env)
+        # 1 + a1 - b = -1: the last exponent the check must refuse
+        table = ((L(1), L(3)), (L(2), L(1, a1=1, b=-1)))
+        for assemble in (assemble_term_by_term, assemble_table):
+            with pytest.raises(ValueError, match="exponent must be nonnegative, got -1$"):
                 assemble(table, env)
         # a zero coefficient leaves its exponent unread, as before
         assert assemble_table(((L(0), L(-1)),), env) == ZERO
@@ -242,9 +249,9 @@ class TestRank2:
 
     def test_classifier(self):
         # (2, 4): below, inside, above the two parts
-        assert classify_rank2((2, 4), 1).case == 1
-        assert classify_rank2((2, 4), 3).case == 2
-        assert classify_rank2((2, 4), 5).case == 3
+        assert rank2((2, 4), 1).case == CaseId("rank2", 1)
+        assert rank2((2, 4), 3).case == CaseId("rank2", 2)
+        assert rank2((2, 4), 5).case == CaseId("rank2", 3)
 
     def test_rank_checked(self):
         with pytest.raises(RankMismatch):
@@ -284,7 +291,7 @@ class TestRank3:
         target = None
         for t in types_of_rank(3, 4):
             for b in range(0, t.weight + 1):
-                if classify_rank3(t, b).case == 6:
+                if rank3(t, b).case.case == 6:
                     target = (t, b)
                     break
             if target:
@@ -450,6 +457,49 @@ class TestAnyRank:
         assert res.value == IntPoly((1, 1, 1, 1))
 
 
+def dispatch_types():
+    """Ranks 0 to 5 with parts <= 3, and the rank-4 types with a part 4."""
+    for rank in range(6):
+        yield from types_of_rank(rank, 3)
+    yield from (t for t in types_of_rank(4, 4) if t[3] == 4)
+
+
+class TestClosedForm:
+    def test_out_of_range_is_zero_and_covered(self):
+        res = closed_form(GroupType((1, 1)), 9)
+        assert res.covered and res.value == ZERO and res.case is None
+
+    def test_rank_dispatch(self):
+        assert str(closed_form(GroupType((1, 2)), 1).case) == "rank2 Case 1"
+        assert str(closed_form(GroupType((2, 2, 2)), 1).case) == "rank3 Case 1"
+        assert str(closed_form(GroupType((2, 2, 2, 2)), 1).case) == "rank4-mmmm Case 1"
+        assert str(closed_form(GroupType((1, 2, 3, 4)), 2).case) == "rank4-partial Case 2"
+        assert str(closed_form(GroupType((1, 1, 1, 1, 1)), 1).case) == "anyrank Case 1"
+        assert str(closed_form(GroupType(()), 0).case) == "anyrank Case 1"
+
+    def test_rank4_gap_misses(self):
+        assert not closed_form(GroupType((1, 1, 4, 4)), 5).covered
+
+    def test_covered_values_match_recurrence_and_misses_are_gaps(self):
+        misses = {4: 0, 5: 0}
+        for t in dispatch_types():
+            m, a1 = t.weight, (t[0] if t else 0)
+            for b in range(-1, m + 2):
+                res = closed_form(t, b)
+                if res.covered:
+                    assert res.value == count_hironaka(t, b), (t, b, res.case)
+                    continue
+                # the product formula covers b <= a1 and b >= m - a1
+                assert a1 < b < m - a1, (t, b)
+                if t.rank == 4:
+                    # the intervals cover min(b, m - b) <= min(a3, a1 + a2)
+                    assert t[0] != t[3] and min(b, m - b) > min(t[2], t[0] + t[1]), (t, b)
+                else:
+                    assert t.rank == 5, (t, b)
+                misses[t.rank] += 1
+        assert misses[4] and misses[5], misses
+
+
 class TestFormulaResult:
     def test_miss(self):
         res = FormulaResult.miss()
@@ -492,3 +542,22 @@ def test_sizes_must_be_ints(call, name):
 def test_case_by_number_needs_an_int_order_index():
     with pytest.raises(TypeError, match="b must be an int"):
         rank3_with_case((1, 2, 3), 1.5, 2)
+
+
+@pytest.mark.parametrize("b", [-1, 7, 99])
+def test_case_by_number_needs_b_in_range(b):
+    # b = 99 once gave a covered polynomial of degree 198
+    with pytest.raises(OutOfRange, match="b must lie in"):
+        rank3_with_case((1, 2, 3), b, 1)
+
+
+def test_case_by_number_needs_an_admitting_case():
+    # case 1 read at b = 3 > a1 once gave p^6 + p^5 + 2p^4 + 2p^3 + 2p^2 + p + 1
+    with pytest.raises(OutOfRange, match=r"rank3 Case 1 does not admit type \(3, 2, 1\) b=3"):
+        rank3_with_case((1, 2, 3), 3, 1)
+    for t in types_of_rank(3, 4):
+        for b in range(t.weight + 1):
+            admitting = rank3_applicable_cases(t, b)
+            for k in set(range(1, 11)) - set(admitting):
+                with pytest.raises(OutOfRange, match=str(CaseId("rank3", k))):
+                    rank3_with_case(t, b, k)

@@ -23,6 +23,12 @@ COMMANDS = {
         "count", "--type", "3,1,2", "--b", "3", "--method", "recurrence"],
     "count-oracle-prime2.txt": [
         "count", "--type", "3,1,2", "--b", "3", "--method", "oracle", "--prime", "2"],
+    # one query for each branch of closedforms.closed_form
+    "count-rank2.txt": ["count", "--type", "2,3", "--b", "4"],
+    "count-mmmm.txt": ["count", "--type", "2,2,2,2", "--b", "3"],
+    "count-rank4-interval.txt": ["count", "--type", "1,2,3,4", "--b", "2"],
+    "count-rank4-gap.txt": ["count", "--type", "1,1,4,4", "--b", "5"],
+    "count-rank5-anyrank.txt": ["count", "--type", "2,2,3,3,4", "--b", "13"],
     "table.txt": ["table", "--type", "2,2,1"],
     "table-prime3.txt": ["table", "--type", "2,2,1", "--prime", "3"],
     "table-prime3.json": ["table", "--type", "2,2,1", "--prime", "3", "--json"],

@@ -1,4 +1,4 @@
-"""Group types, the rank-3 case classifier and the immutable value types."""
+"""Group types, the rank-3 case choice and the immutable value types."""
 import copy
 import pickle
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subcount.closedforms import (
-    CASE_RANGES, CaseId, FormulaResult, LinForm, classify_rank3, rank2,
+    CASE_RANGES, CaseId, FormulaResult, LinForm, rank2, rank3,
     rank3_applicable_cases,
 )
 from subcount.groups import GroupType, NegativePart, OutOfRange, RankMismatch
@@ -85,10 +85,10 @@ class TestCaseId:
 class TestClassifier:
     def test_known_cases(self):
         t = GroupType((1, 2, 3))
-        assert classify_rank3(t, 0).case == 1
-        assert classify_rank3(t, 2).case == 2
-        assert classify_rank3(t, 3).case == 3
-        assert classify_rank3(t, 6).case == 10
+        assert rank3(t, 0).case.case == 1
+        assert rank3(t, 2).case.case == 2
+        assert rank3(t, 3).case.case == 3
+        assert rank3(t, 6).case.case == 10
 
     def test_all_ten_cases_reachable(self):
         seen = set()
@@ -97,14 +97,14 @@ class TestClassifier:
                 for a3 in range(a2, 6):
                     t = GroupType((a1, a2, a3))
                     for b in range(0, t.weight + 1):
-                        seen.add(classify_rank3(t, b).case)
+                        seen.add(rank3(t, b).case.case)
         assert seen == set(range(1, 11))
 
     def test_lowest_case_wins(self):
         t = GroupType((1, 2, 3))
         for b in range(0, t.weight + 1):
             cases = rank3_applicable_cases(t, b)
-            assert classify_rank3(t, b).case == min(cases)
+            assert rank3(t, b).case.case == min(cases)
 
     @given(types3, st.integers(0, 18))
     def test_total_coverage(self, t, b):
@@ -117,13 +117,13 @@ class TestClassifier:
 
     def test_non_rank3_rejected(self):
         with pytest.raises(RankMismatch):
-            classify_rank3(GroupType((1, 2)), 0)
+            rank3(GroupType((1, 2)), 0)
 
     def test_b_outside_range_rejected(self):
         with pytest.raises(OutOfRange):
-            classify_rank3(GroupType((1, 1, 1)), 4)
+            rank3(GroupType((1, 1, 1)), 4)
         with pytest.raises(OutOfRange):
-            classify_rank3(GroupType((1, 1, 1)), -1)
+            rank3(GroupType((1, 1, 1)), -1)
 
 
 # one value of each immutable value type, with one of its fields
