@@ -173,7 +173,7 @@ def build_parser():
                    default="auto")
     c.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_LIMIT)
     c.add_argument("--json", action="store_true")
-    c.set_defaults(fn=cmd_count, positive=())
+    c.set_defaults(fn=cmd_count, positive=("oracle_limit",))
 
     tbl = sub.add_parser("table", help="all counts for one type")
     tbl.add_argument("--type", required=True)

@@ -672,12 +672,13 @@ def anyrank_case1(t, b):
 # ---------------------------------------------------------------------------
 
 def closed_form(t, b):
-    """The closed form that answers (t, b), or a miss; a b outside [0, m] counts 0.
+    """The closed form that answers (t, b), or a miss; an int b outside [0, m] counts 0.
 
     Ranks 2 and 3 cover every b, rank 4 misses between its intervals, and the
     other ranks miss for a1 < b < m - a1.
     """
     t = GroupType(t)
+    check_int("b", b)
     if not 0 <= b <= t.weight:
         return FormulaResult(ZERO, None, True)
     if t.rank == 2:

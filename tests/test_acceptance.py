@@ -199,14 +199,10 @@ def test_criterion_10_generating_functions():
     staircase = verify_g_product(bounds=SERIES_BOUNDS)
     assert staircase == [], staircase[:3]
     split = verify_sub_series(bounds=SERIES_BOUNDS)
-    assert split["validated"]["equal_piece"] is not None
-    assert split["validated"]["strict_piece"] is not None
-    assert split["sum_matches_full"]
+    assert split == [], split[:3]
     elapsed = time.monotonic() - start
-    ok = split["ok"] and elapsed < 30.0
-    _report(10, ok, "(readings: %s | %s, %.1fs)"
-            % (split["validated"]["equal_piece"],
-               split["validated"]["strict_piece"], elapsed))
+    _report(10, elapsed < 30.0, "(full series, staircase and both pieces, %.1fs)"
+            % elapsed)
 
 
 def test_criterion_11_boundary_agreement():

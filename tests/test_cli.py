@@ -41,7 +41,7 @@ TINY_FAMILIES = [
     ("nonnegative-coefficients", "ranks up to 2 with parts <= 2", 17),
     ("recurrence-pair", "ranks up to 2 with parts <= 2, order indexes -1..m+1", 27),
     ("series-full", "full rank-2 series at truncation (8, 8, 8)", 1),
-    ("series-split", "sub-series readings at truncation (8, 8, 8)", 1),
+    ("series-split", "sub-series pieces at truncation (8, 8, 8)", 1),
     ("series-staircase", "four-factor product series at truncation (8, 8, 8)", 1),
     ("symmetry", "ranks up to 2 with parts <= 2", 17),
 ]
@@ -106,6 +106,17 @@ class TestCount:
                            "--oracle-limit", "8")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("limit, extra", [
+        ("-3", ()), ("0", ("--method", "oracle", "--prime", "2"))])
+    def test_oracle_limit_must_be_positive(self, capsys, limit, extra):
+        # a negative limit was ignored off the oracle path, and 0 failed as an
+        # enumeration limit the group order exceeds
+        code, out, err = run(capsys, "count", "--type", "1,2", "--b", "1",
+                             "--oracle-limit", limit, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --oracle-limit must be at least 1, got %s\n" % limit
 
     @pytest.mark.parametrize("part, prime", [("1000000", "3"), ("2000", "2")])
     def test_oracle_order_limit_on_a_huge_group(self, capsys, part, prime):

@@ -520,6 +520,13 @@ def test_order_index_must_be_an_int(fn, t, b):
         fn(t, b)
 
 
+@pytest.mark.parametrize("b", [-0.5, 99.0, True])
+def test_dispatcher_order_index_must_be_an_int(b):
+    # a float b outside [0, m] once answered a covered ZERO
+    with pytest.raises(TypeError, match="b must be an int"):
+        closed_form((1, 2), b)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: rank3_mmm(True, 1), "m"),
     (lambda: rank3_mmm(1.5, 2), "m"),

@@ -21,6 +21,17 @@ MINUS_ONE = IntPoly((-1,))
 SERIES_BOXES = [(4, 4, 4), (12, 12, 12)]
 
 
+# the two pieces of the full series as printed in the paper, which both fail
+PRINTED_PIECES = {
+    # numerator 1 + x2^2*y
+    "equal_piece": ({(0, 0, 0): 1, (0, 2, 1): 1},
+                    ("1 - x1*x2", "1 - p*x1*x2*y", "1 - x1*x2*y^2")),
+    # numerator 1 + y - x1*y + x1^2*x2*y^2, with factor 1 - x1*x2*y
+    "strict_piece": ({(0, 0, 0): 1, (0, 0, 1): 1, (1, 0, 1): -1, (2, 1, 2): 1},
+                     ("1 - x1", "1 - x1*y", "1 - x1*x2", "1 - x1*x2*y", "1 - p*x1*x2*y")),
+}
+
+
 def series(*terms):
     return MultiSeries(B, {(e1, e2, ey): coeff for e1, e2, ey, coeff in terms})
 
@@ -62,6 +73,12 @@ class TestMultiSeries:
         with pytest.raises(TypeError, match="coefficient %s is neither" % re.escape(
                 repr(coeff))):
             MultiSeries((2, 2, 2), {(1, 0, 0): coeff})
+
+    @pytest.mark.parametrize("mono", [(True, 0, 0), (1.0, 0, 0), (1.5, 0, 0), (0, 0, 2.0)])
+    def test_coeff_needs_int_exponents(self, mono):
+        # True and 1.0 once read the (1, 0, 0) cell, and 1.5 read 0
+        with pytest.raises(ValueError, match="three nonnegative int exponents"):
+            series((1, 0, 0, ONE)).coeff(*mono)
 
     def test_coeff_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
@@ -269,16 +286,14 @@ class TestSeriesChecks:
 
     def test_sub_series_report(self):
         for bounds in SERIES_BOXES:
-            report = verify_sub_series(bounds=bounds)
-            assert report["ok"], bounds
-            assert report["validated"]["equal_piece"] is not None
-            assert report["validated"]["strict_piece"] is not None
-            assert report["sum_matches_full"]
-            # exactly one reading of each piece reproduces the recurrence
-            for side in ("equal_piece", "strict_piece"):
-                readings = {e["reading"]: e["ok"] for e in report[side]}
-                assert len(readings) == 2
-                assert sorted(readings.values()) == [False, True]
+            assert verify_sub_series(bounds=bounds) == [], bounds
+
+    def test_pieces_sum_to_the_full_series(self):
+        # implied by the three whole-box checks, shown here directly
+        for bounds in [(4, 4, 4), (8, 8, 8), (12, 12, 12)]:
+            equal = genfun._expand(bounds, genfun._SERIES["equal_piece"])
+            strict = genfun._expand(bounds, genfun._SERIES["strict_piece"])
+            assert equal + strict == genfun._expand(bounds, genfun._SERIES["full"])
 
     def test_too_wide_a_reference_is_a_mismatch(self, monkeypatch):
         # 2**70 does not fit the series' 64-bit slots, so it equals no cell
@@ -294,44 +309,62 @@ class TestSeriesChecks:
         assert record["expected"] == perturbed((1, 2), 2).to_json()
         assert record["got"] == exact((1, 2), 2).to_json()
 
-    def test_sum_mismatches_name_full_and_sum(self, monkeypatch):
-        # an x2 term in the equal piece's numerator lies off the diagonal, so
-        # both pieces still validate, but their sum differs from the full series
-        equal_readings = genfun._SERIES["equal_piece"]
-        (name, (num, factors)), _ = equal_readings.items()
-        monkeypatch.setitem(equal_readings, name, ({**num, (0, 1, 0): 1}, factors))
-        bounds = (4, 4, 4)
-        report = verify_sub_series(bounds)
-        assert report["validated"]["equal_piece"] is not None
-        assert report["validated"]["strict_piece"] is not None
-        assert not report["sum_matches_full"] and not report["ok"]
-        assert [m["monomial"] for m in report["sum_mismatches"]] == [
-            [0, 1, 0], [1, 2, 0], [1, 2, 1], [1, 2, 2], [2, 3, 0]]
-        equal = genfun._expand(bounds, equal_readings[name])
-        corrected_strict, _ = genfun._SERIES["strict_piece"].values()
-        strict = genfun._expand(bounds, corrected_strict)
-        full = genfun._expand(bounds, genfun._SERIES["full"])
-        for record in report["sum_mismatches"]:
-            cell = record["monomial"]
-            assert record["expected"] == full.coeff(*cell).to_json()
-            assert record["got"] == (equal + strict).coeff(*cell).to_json()
-            assert record["expected"] != record["got"]
-
-    def test_wrong_reading_reports_five_unpacked_records(self, monkeypatch):
-        # the negated equal piece differs from the recurrence on every one of
-        # the 19 diagonal cells of (4, 4, 4); the report keeps the first 5
-        (name, (num, factors)), _ = genfun._SERIES["equal_piece"].items()
-        negated = {(0, 0, 0): -1, (1, 1, 1): -1}
+    def test_off_region_term_is_a_mismatch(self, monkeypatch):
+        # an x2 term in the equal piece's numerator lies off the diagonal, on
+        # cells (u, u + 1, r) that must be 0; the diagonal is unchanged
+        num, factors = genfun._SERIES["equal_piece"]
         monkeypatch.setitem(genfun._SERIES, "equal_piece",
-                            {name: (num, factors), "negated": (negated, factors)})
-        report = verify_sub_series((4, 4, 4))
-        assert report["ok"]
-        entry = report["equal_piece"][1]
-        assert entry["reading"] == "negated" and not entry["ok"]
+                            ({**num, (0, 1, 0): 1}, factors))
+        records = verify_sub_series((4, 4, 4))
+        assert [m["monomial"] for m in records[:5]] == [
+            [0, 1, 0], [1, 2, 0], [1, 2, 1], [1, 2, 2], [2, 3, 0]]
+        shifted = genfun._expand((4, 4, 4), ({(0, 1, 0): 1}, factors))
+        assert [m["monomial"] for m in records] == [list(m) for m in shifted.monomials]
+        for record in records:
+            assert record["expected"] == []
+            assert record["got"] == shifted.coeff(*record["monomial"]).to_json()
+
+    def test_cancelling_junk_in_both_pieces_is_reported(self, monkeypatch):
+        # +1 in the equal piece and -1 in the strict piece on a cell u < v
+        # leave the sum equal to the full series; each piece still fails
+        bounds, cell = (4, 4, 4), (1, 2, 0)
+        exact = genfun._expand
+
+        def perturbed(bounds, formula):
+            series = exact(bounds, formula)
+            for side, junk in (("equal_piece", 1), ("strict_piece", -1)):
+                if formula is genfun._SERIES[side]:
+                    series = series + MultiSeries(bounds, {cell: junk})
+            return series
+
+        monkeypatch.setattr(genfun, "_expand", perturbed)
+        equal = genfun._expand(bounds, genfun._SERIES["equal_piece"])
+        strict = genfun._expand(bounds, genfun._SERIES["strict_piece"])
+        assert equal + strict == exact(bounds, genfun._SERIES["full"])
+        assert verify_sub_series(bounds) == [
+            {"monomial": list(cell), "expected": [], "got": [1]},
+            {"monomial": list(cell), "expected": [], "got": [-1]}]
+
+    @pytest.mark.parametrize("side, first", [
+        ("equal_piece", [1, 1, 1]), ("strict_piece", [2, 1, 1])])
+    def test_printed_pieces_fail(self, monkeypatch, side, first):
+        # the erratum: each piece as printed in the paper differs from the
+        # recurrence, first at this cell of (4, 4, 4)
+        monkeypatch.setitem(genfun._SERIES, side, PRINTED_PIECES[side])
+        records = verify_sub_series((4, 4, 4))
+        assert records and records[0]["monomial"] == first
+
+    def test_wrong_piece_reports_every_cell_unpacked(self, monkeypatch):
+        # the negated equal piece differs from the recurrence on every one of
+        # the 19 diagonal cells of (4, 4, 4), and all are reported
+        _, factors = genfun._SERIES["equal_piece"]
+        negated = {(0, 0, 0): -1, (1, 1, 1): -1}
+        monkeypatch.setitem(genfun._SERIES, "equal_piece", (negated, factors))
+        records = verify_sub_series((4, 4, 4))
         cells = [(u, u, r) for u in range(5) for r in range(min(2 * u, 4) + 1)]
-        assert [m["monomial"] for m in entry["mismatches"]] == [
-            list(cell) for cell in cells[:5]]
-        for record in entry["mismatches"]:
+        assert len(cells) == 19
+        assert [m["monomial"] for m in records] == [list(cell) for cell in cells]
+        for record in records:
             u, v, r = record["monomial"]
             want = count_stehling((v, u), r).to_json()
             assert record["expected"] == want
