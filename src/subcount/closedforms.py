@@ -11,11 +11,11 @@ such pass is a running sum over the residue classes of the exponents mod i.
 A pass that leaves a remainder means a table is wrong: only then does the
 generic long division run, to give the remainder that ``FormulaBug`` reports
 with the case.  ``closed_form`` picks the family that answers a query (t, b),
-and each family picks its own case.
+and ``CHAMBERS`` its case: the lowest case whose chamber admits b.
 """
 
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import prod
 
 from .groups import GroupType, OutOfRange, RankMismatch, check_int
@@ -58,6 +58,7 @@ class CaseId(namedtuple("CaseId", "family case")):
     def __new__(cls, family, case):
         if family not in CASE_RANGES:
             raise ValueError("unknown family tag %r" % (family,))
+        check_int("case", case)
         if not 1 <= case <= CASE_RANGES[family]:
             raise ValueError("case %d out of range for %s" % (case, family))
         return tuple.__new__(cls, (family, case))
@@ -193,10 +194,24 @@ def _divide(numerator, steps, case):
     return IntPoly._trusted(quotient)
 
 
-def _evaluate(case, parts, b):
-    """A case of its family's catalog at the ascending parts and b."""
-    a1, a2, a3 = (*parts, 0, 0)[:3]
-    numerator = assemble_table(CATALOGS[case.family][case.case],
+def _by_chamber(family, parts, b, case_no=None):
+    """Evaluate the lowest case of family whose chamber admits b, else give a miss.
+
+    parts are ascending.  A case_no is evaluated in place of the lowest case,
+    and raises OutOfRange if its chamber does not admit b.
+    """
+    _check_b(b, sum(parts))
+    a1, a2, a3 = (parts + (0, 0))[:3]
+    row = CHAMBERS[family](a1, a2, a3, b)
+    if case_no is None:
+        if True not in row:
+            return _MISS
+        case = _CASE_IDS[family][row.index(True)]
+    else:
+        case = CaseId(family, case_no)
+        if not row[case_no - 1]:
+            raise OutOfRange("%s does not admit type %s b=%d" % (case, parts, b))
+    numerator = assemble_table(CATALOGS[family][case.case],
                                {"a1": a1, "a2": a2, "a3": a3, "b": b})
     return FormulaResult(_divide(numerator, range(1, len(parts)), case), case, True)
 
@@ -221,13 +236,6 @@ def _check_m(m):
         raise ValueError("m must be at least 1, got %d" % m)
 
 
-def _equal_parts(family, m, b, rank):
-    """The type (m,) * rank at b: case k covers (k - 1)m < b <= km, case 1 also b = 0."""
-    _check_m(m)
-    _check_b(b, rank * m)
-    return _evaluate(CaseId(family, max(1, -(-b // m))), (m,) * rank, b)
-
-
 # ---------------------------------------------------------------------------
 # rank 2: three overlapping intervals
 # ---------------------------------------------------------------------------
@@ -242,9 +250,7 @@ RANK2_TABLES = {
 
 def rank2(t, b):
     """Closed-form count for a rank-2 type; every b in [0, m], ties to the lower case."""
-    a1, a2 = t = _of_rank(t, 2)
-    _check_b(b, a1 + a2)
-    return _evaluate(CaseId("rank2", 1 if b <= a1 else 2 if b <= a2 else 3), t, b)
+    return _by_chamber("rank2", _of_rank(t, 2), b)
 
 
 # ---------------------------------------------------------------------------
@@ -305,35 +311,16 @@ RANK3_TABLES[9] = substitute_table(RANK3_TABLES[2], _REFLECT_B)
 RANK3_TABLES[10] = substitute_table(RANK3_TABLES[1], _REFLECT_B)
 
 
-def _rank3_chambers(t, b):
-    """t as a rank-3 type and the cases admitting b, ascending; each b in [0, m] has one."""
-    a1, a2, a3 = t = _of_rank(t, 3)
-    m = a1 + a2 + a3
-    _check_b(b, m)
-    conds = (
-        (1, 0 <= b <= a1),
-        (2, a1 <= b <= a2),
-        (3, a2 < b <= a3 <= a1 + a2),
-        (4, a2 < b <= a1 + a2 <= a3),
-        (5, a1 + a2 <= b <= a3),
-        (6, a3 < b <= a1 + a2),
-        (7, a1 + a2 <= a3 < b <= a1 + a3),
-        (8, a3 <= a1 + a2 < b <= a1 + a3),
-        (9, a1 + a3 <= b <= a2 + a3),
-        (10, a2 + a3 <= b <= m),
-    )
-    return t, [k for k, ok in conds if ok]
-
-
 def rank3_applicable_cases(t, b):
     """All rank-3 case numbers whose interval admits (t, b), ascending."""
-    return _rank3_chambers(t, b)[1]
+    a1, a2, a3 = _of_rank(t, 3)
+    _check_b(b, a1 + a2 + a3)
+    return list(compress(count(1), CHAMBERS["rank3"](a1, a2, a3, b)))
 
 
 def rank3(t, b):
     """Closed-form count for a rank-3 type; every b in [0, m], ties to the lowest case."""
-    t, cases = _rank3_chambers(t, b)
-    return _evaluate(CaseId("rank3", cases[0]), t, b)
+    return _by_chamber("rank3", _of_rank(t, 3), b)
 
 
 def rank3_with_case(t, b, case_no):
@@ -341,11 +328,7 @@ def rank3_with_case(t, b, case_no):
 
     A case whose interval does not admit (t, b) raises OutOfRange.
     """
-    t, cases = _rank3_chambers(t, b)
-    case = CaseId("rank3", case_no)
-    if case_no not in cases:
-        raise OutOfRange("%s does not admit type %s b=%d" % (case, t, b))
-    return _evaluate(case, t, b)
+    return _by_chamber("rank3", _of_rank(t, 3), b, case_no)
 
 
 # substitutions that specialize the case-6 table to each other case
@@ -406,7 +389,8 @@ MMM_TABLES[1] = RANK3_TABLES[1]
 
 def rank3_mmm(m, b):
     """Closed-form count for the type (m, m, m)."""
-    return _equal_parts("rank3-mmm", m, b, 3)
+    _check_m(m)
+    return _by_chamber("rank3-mmm", (m,) * 3, b)
 
 
 # ---------------------------------------------------------------------------
@@ -463,31 +447,14 @@ RANK4_PARTIAL_TABLES = {
 }
 
 
-def _rank4_interval_case(parts, b):
-    """Which low-order interval covers b, or None."""
-    a1, a2, a3, _ = parts
-    if 0 <= b <= a1:
-        return 1
-    if a1 <= b <= a2:
-        return 2
-    if a2 <= b <= min(a3, a1 + a2):
-        return 3
-    return None
-
-
 def rank4_partial(t, b):
     """Interval closed forms for rank 4; a b in [0, m] off the catalog is a miss."""
     parts = _of_rank(t, 4)
-    m = sum(parts)
-    _check_b(b, m)
-    case_no = _rank4_interval_case(parts, b)
-    if case_no is None:
+    result = _by_chamber("rank4-partial", parts, b)
+    if not result.covered:
         # count symmetry lets the same intervals serve the mirrored index
-        b = m - b
-        case_no = _rank4_interval_case(parts, b)
-    if case_no is None:
-        return FormulaResult.miss()
-    return _evaluate(CaseId("rank4-partial", case_no), parts, b)
+        result = _by_chamber("rank4-partial", parts, sum(parts) - b)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +528,43 @@ CATALOGS = {
     "rank4-partial": RANK4_PARTIAL_TABLES,
     "rank4-mmmm": MMMM_TABLES,
 }
+# family tag -> its chambers: a function of the three smallest parts (0 past
+# the rank, a1 = m on the equal-part types) and b, known to lie in [0, m],
+# that says for each case, in case order, whether its chamber admits b
+CHAMBERS = {
+    "rank2": lambda a1, a2, a3, b: (b <= a1, a1 <= b <= a2, a2 <= b),
+    "rank3": lambda a1, a2, a3, b: (
+        b <= a1,
+        a1 <= b <= a2,
+        a2 < b <= a3 <= a1 + a2,
+        a2 < b <= a1 + a2 <= a3,
+        a1 + a2 <= b <= a3,
+        a3 < b <= a1 + a2,
+        a1 + a2 <= a3 < b <= a1 + a3,
+        a3 <= a1 + a2 < b <= a1 + a3,
+        a1 + a3 <= b <= a2 + a3,
+        a2 + a3 <= b),
+    "rank3-mmm": lambda m, a2, a3, b: (b <= m, m <= b <= 2 * m, 2 * m <= b),
+    # the catalog stops at b = min(a3, a1 + a2); rank4_partial mirrors b
+    "rank4-partial": lambda a1, a2, a3, b: (
+        b <= a1, a1 <= b <= a2, a2 <= b <= min(a3, a1 + a2)),
+    "rank4-mmmm": lambda m, a2, a3, b: (
+        b <= m, m <= b <= 2 * m, 2 * m <= b <= 3 * m, 3 * m <= b),
+}
 # family tag -> highest case number; the any-rank product formula has no table
 CASE_RANGES = {**{family: len(tables) for family, tables in CATALOGS.items()},
                "anyrank": 2}
+# built once, so the evaluator makes no CaseId or miss per query: each
+# family's CaseIds in case order, and the one miss
+_CASE_IDS = {family: tuple(CaseId(family, k) for k in range(1, len(tables) + 1))
+             for family, tables in CATALOGS.items()}
+_MISS = FormulaResult.miss()
 
 
 def rank4_mmmm_b(m, b):
     """Closed-form count for the type (m, m, m, m) at order index b."""
-    return _equal_parts("rank4-mmmm", m, b, 4)
+    _check_m(m)
+    return _by_chamber("rank4-mmmm", (m,) * 4, b)
 
 
 def rank4_mmmm_total(m):

@@ -124,6 +124,8 @@ def _truncation():
 
 def _overlapping_cases(s, t, b):
     cases = rank3_applicable_cases(t, b)
+    if len(cases) < 2:
+        return []
     want = closedforms.rank3_with_case(t, b, cases[0]).value
     return [Comparison("rank3 Case %d vs Case %d" % (k, cases[0]), (t, b),
                        closedforms.rank3_with_case(t, b, k).value, want)

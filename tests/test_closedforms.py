@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from subcount.closedforms import (
-    CASE6_SPECIALIZATIONS, CATALOGS, MMM_TABLES, CaseId, FormulaBug, FormulaResult, LinForm,
-    OrderViolation, RANK3_TABLES, _divide_pm1, _rank4_interval_case, anyrank_case1,
+    CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
+    LinForm, OrderViolation, RANK3_TABLES, _divide_pm1, anyrank_case1,
     assemble_table, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl, standard_denominator,
@@ -198,13 +198,33 @@ def catalog_queries():
                 yield rank3_with_case(t, b, k), t, b
     for t in types_of_rank(4, 6):
         for b in range(t.weight + 1):
-            if _rank4_interval_case(t, b) is not None:
+            if any(CHAMBERS["rank4-partial"](*t[:3], b)):
                 yield rank4_partial(t, b), t, b
     for m in range(1, 7):
         for b in range(3 * m + 1):
             yield rank3_mmm(m, b), (m,) * 3, b
         for b in range(4 * m + 1):
             yield rank4_mmmm_b(m, b), (m,) * 4, b
+
+
+class TestChambers:
+    def test_each_family_has_one_chamber_per_table(self):
+        assert list(CHAMBERS) == list(CATALOGS)
+        for family, tables in CATALOGS.items():
+            assert sorted(tables) == list(range(1, len(tables) + 1))
+            assert len(CHAMBERS[family](1, 2, 3, 0)) == len(tables), family
+
+    @pytest.mark.parametrize("family, types", [
+        ("rank2", list(types_of_rank(2, 6))),
+        ("rank3", list(types_of_rank(3, 6))),
+        ("rank3-mmm", [(m,) * 3 for m in range(1, 7)]),
+        ("rank4-mmmm", [(m,) * 4 for m in range(1, 7)]),
+    ], ids=["rank2", "rank3", "rank3-mmm", "rank4-mmmm"])
+    def test_every_b_in_range_has_a_case(self, family, types):
+        for t in types:
+            a1, a2, a3 = (*t, 0, 0)[:3]
+            for b in range(sum(t) + 1):
+                assert any(CHAMBERS[family](a1, a2, a3, b)), (family, t, b)
 
 
 class TestEvaluator:

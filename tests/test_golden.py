@@ -27,6 +27,10 @@ COMMANDS = {
     "count-rank2.txt": ["count", "--type", "2,3", "--b", "4"],
     "count-mmmm.txt": ["count", "--type", "2,2,2,2", "--b", "3"],
     "count-rank4-interval.txt": ["count", "--type", "1,2,3,4", "--b", "2"],
+    # b = 8 lies in no interval; its mirror m - b = 2 lies in case 2's
+    "count-rank4-mirror.txt": ["count", "--type", "1,2,3,4", "--b", "8"],
+    # a reflected rank-3 case, 9 being the b -> m - b image of case 2
+    "count-rank3-reflected.txt": ["count", "--type", "1,2,3", "--b", "5"],
     "count-rank4-gap.txt": ["count", "--type", "1,1,4,4", "--b", "5"],
     "count-rank5-anyrank.txt": ["count", "--type", "2,2,3,3,4", "--b", "13"],
     "table.txt": ["table", "--type", "2,2,1"],

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from subcount.closedforms import (
     CASE_RANGES, CaseId, FormulaResult, LinForm, rank2, rank3,
-    rank3_applicable_cases,
+    rank3_applicable_cases, rank3_with_case,
 )
 from subcount.groups import GroupType, NegativePart, OutOfRange, RankMismatch
 from subcount.oracle import CensusResult
@@ -80,6 +80,16 @@ class TestCaseId:
         for family, hi in CASE_RANGES.items():
             assert hi >= 1
             CaseId(family, hi)
+
+    @pytest.mark.parametrize("case", [True, 1.0, 2.5])
+    def test_case_must_be_an_int(self, case):
+        message = "case must be an int, got %r" % (case,)
+        with pytest.raises(TypeError) as raised:
+            CaseId("rank3", case)
+        assert str(raised.value) == message
+        with pytest.raises(TypeError) as raised:
+            rank3_with_case((1, 2, 3), 1, case)
+        assert str(raised.value) == message
 
 
 class TestClassifier:
