@@ -53,6 +53,8 @@ def count_hironaka(t, b, memo=None):
         memo = _HIRONAKA_MEMO
     if b < 0 or b > t.weight:
         return ZERO
+    if len(t) <= 1:  # a cyclic group has one subgroup of each order
+        return ONE
     return _hironaka_row(t, memo)[b]
 
 
@@ -148,6 +150,13 @@ def count_stehling(t, b, memo=None):
 # whole machine words, which one memoryview cast unpacks, and few widths
 # occur; the memo key carries the width so that one memo shared across types
 # never mixes widths.
+#
+# Once cut, a state is stored up to duality.  The cut desc is itself a group
+# type, and a group has as many subgroups of order p**r as of index p**r, so
+# S(desc, r) = S(desc, weight(desc) - r) as polynomials: swapping r and gap is
+# exact, and each state is kept only with r <= gap.  The swap keeps r <= weight
+# and len(desc) <= rank, so the width bound above still covers every state,
+# and it changes no part of desc, so only desc[1:] is still recursed on.
 
 def _stehling(desc, r, gap, width, memo):
     """S(desc, r) packed at width bits a coefficient; gap = weight(desc) - r >= 0.
@@ -155,16 +164,20 @@ def _stehling(desc, r, gap, width, memo):
     A shrink step lowers r and the weight together, so gap is fixed down the
     chain.  While desc[0] > gap the second term is 0 (r exceeds the weight of
     desc[1:]), so the chain first cuts every part down to gap; the memo only
-    holds states past that cut.  Only desc[1:] is recursed on, and only when
-    its cut state is not in the memo yet, so the stack depth is at most the
-    rank.
+    holds states past that cut.  A cut state with r > gap is then read as its
+    dual, with r and gap swapped, so the chain and every key it stores have
+    r <= gap, and a state and its dual share one entry.  Only desc[1:] is
+    recursed on, and only when its cut and folded state is not in the memo
+    yet, so the stack depth is at most the rank.
     """
     if not gap:  # the cut would leave S((), 0): only the whole group
         return 1
     if desc[0] > gap:
         desc = tuple([a if a < gap else gap for a in desc])
         r = sum(desc) - gap
-    get = memo.get
+    if r > gap:  # S(desc, r) = S(desc, gap) by duality on the cut type
+        r, gap = gap, r
+    get, put = memo.get, memo.put
     chain = []
     while r:
         key = (width, desc, r)
@@ -181,8 +194,8 @@ def _stehling(desc, r, gap, width, memo):
     for key in reversed(chain):
         _, desc, r = key
         # the second term is S(desc[1:], r), whose gap is gap - desc[0]; it is
-        # cut here as the call would cut it, so that a child already in the
-        # memo (most are) costs one lookup and no call
+        # cut and folded here as the call would, so that a child already in
+        # the memo (most are) costs one lookup and no call
         child_gap = gap - desc[0]
         if not child_gap:
             child = 1
@@ -196,16 +209,18 @@ def _stehling(desc, r, gap, width, memo):
             if not child_r:
                 child = 1
             else:
-                child = get((width, rest, child_r))
+                child = get((width, rest, child_r if child_r < child_gap else child_gap))
                 if child is None:
                     child = _stehling(rest, child_r, child_gap, width, memo)
-        value = memo.put(key, value + (child << (r * width)))
+        value = put(key, value + (child << (r * width)))
     return value
 
 
 def total_count(t, memo=None):
     """Total number of subgroups, summed over every order index."""
     t = GroupType(t)
+    if len(t) <= 1:
+        return IntPoly((t.weight + 1,))
     if memo is None:
         memo = _HIRONAKA_MEMO
     acc = ZERO

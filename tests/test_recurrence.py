@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,15 @@ class TestExhaustive:
         for parts in [(2, 3, 4), (2, 3)]:
             for b in range(-1, sum(parts) + 2):
                 assert count_hironaka(parts, b, shared) == count_hironaka(parts, b, MemoTable())
+        # Stehling stores a state and its dual under one key, so a state
+        # folded by a b > m/2 query is read by later queries of other types;
+        # (1,)*34 takes 128-bit slots
+        shared = MemoTable()
+        for parts in [(2, 3, 4), (2, 3), (5, 5, 5), (1,) * 34]:
+            for b in range(-1, sum(parts) + 2):
+                got = count_stehling(parts, b, shared)
+                assert got == count_stehling(parts, b, MemoTable()), (parts, b)
+                assert got == count_hironaka(parts, b, MemoTable()), (parts, b)
 
 
 class TestLargeTypeBudgets:
@@ -125,6 +135,20 @@ class TestLargeTypeBudgets:
         got = count_hironaka((1000, 1000), 1, MemoTable())
         assert time.monotonic() - start < 3.0
         assert got == rank2((1000, 1000), 1).value
+
+    def test_cyclic_type_builds_no_row(self):
+        # a cyclic group has one subgroup of each order; the row of (10**6,)
+        # alone would be an 8 MB tuple, and its total a million additions
+        tracemalloc.start()
+        try:
+            got = [count_hironaka((10 ** 6,), b, MemoTable()) for b in (0, 1, 10 ** 6)]
+            total = total_count((10 ** 6,), MemoTable())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [ONE] * 3
+        assert total == IntPoly([10 ** 6 + 1])
+        assert peak < 100_000
 
     def test_rank4_table_command(self):
         start = time.monotonic()
@@ -165,7 +189,7 @@ class TestStehlingDepth:
 class TestStehlingWork:
     """The memo holds the same states however the descent reaches them."""
 
-    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 1856), ((25, 32, 33), 3571)])
+    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 942), ((25, 32, 33), 2179)])
     def test_memo_entries_after_a_table(self, parts, entries):
         # one answer per b plus every packed state the table reaches; a child
         # found in the memo before its call must not add or skip a state
@@ -173,6 +197,11 @@ class TestStehlingWork:
         for b in range(sum(parts) + 1):
             count_stehling(parts, b, memo)
         assert len(memo) == entries
+        # a state (width, desc, r) is stored only in its folded form, with r
+        # at most its dual index weight(desc) - r; the answers are 2-tuples
+        states = [key for key in memo._data if len(key) == 3]
+        assert len(states) == entries - (sum(parts) + 1)
+        assert all(2 * r <= sum(desc) for _, desc, r in states)
 
 
 def gaussian_binomial(n, k, q):
@@ -265,16 +294,25 @@ class TestMemoTable:
         count_hironaka((2, 2), 2, memo=memo)
         assert len(memo) > 0
 
-    def test_thread_safety(self):
+    @pytest.mark.parametrize("count, parts, shared", [
+        (count_hironaka, (2, 2, 3), None),  # the module's global memo
+        (count_stehling, (10, 14, 15, 17), MemoTable),
+    ], ids=["hironaka", "stehling"])
+    def test_thread_safety(self, count, parts, shared):
+        bs = range(-1, sum(parts) + 2)
+        want = [count(parts, b, MemoTable()) for b in bs]
+        memo = shared() if shared else None
+        start = threading.Barrier(8)
         results = []
 
         def worker():
-            out = [count_hironaka((2, 2, 3), b) for b in range(8)]
-            results.append(out)
+            start.wait()
+            results.append([count(parts, b, memo) for b in bs])
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for th in threads:
             th.start()
         for th in threads:
             th.join()
-        assert all(r == results[0] for r in results)
+        assert len(results) == 8
+        assert all(r == want for r in results)
