@@ -116,7 +116,8 @@ def count_stehling(t, b, memo=None):
     if answer is None:
         words = comb(weight + t.rank, t.rank).bit_length() // 64 + 1
         width = words * 64
-        packed = _stehling(desc, b, weight - b, width, memo)
+        state, r, _ = _normal(desc, b, weight - b)
+        packed = _stehling(state, r, width, memo)
         # the slots are whole 64-bit words, so one cast reads every word;
         # a big-endian machine lists them highest first
         size = -(-packed.bit_length() // width) * words * 8
@@ -136,82 +137,91 @@ def count_stehling(t, b, memo=None):
 # for r < 0 or r > weight(desc).  A value is packed as the int sum of
 # c_i * 2**(i * width), so p**r * x is x << (r * width) and + is int +.
 #
+# Two laws let a state be replaced by a smaller one with the same polynomial.
+# A subgroup of order p**r is killed by p**r, so it lies in Omega_r, the
+# elements killed by p**r, whose type is desc with every part capped at r:
+# S(desc, r) = S(min(desc, r), r).  And a group has as many subgroups of
+# order p**r as of index p**r (a subgroup's annihilator in the dual group,
+# which is isomorphic to the group, has the complementary order), so
+# S(desc, r) = S(desc, weight(desc) - r).  The normal form of a state folds r
+# to min(r, weight - r) and caps every part at r, and repeats until neither
+# changes anything; each step lowers r or the weight, so it stops, and a
+# normal state with r > 0 has desc[0] <= r <= weight(desc) - r.  The dual
+# of the Omega_r cap, capping every part at the index gap, is a fold, a cap
+# and a fold back, so the normal form covers it too.  Every state (the
+# query's, each one down the shrink chain and each desc[1:] child) is
+# normalised before its memo lookup, so one entry serves all the states that
+# share its normal form.
+#
 # The packing is exact when every coefficient is below 2**width.  The
 # recursion only adds and shifts, so coefficients stay nonnegative, and by
 # induction on r + len(desc) every coefficient of S(desc, r) is at most
 # C(r + n, n) with n = len(desc): the first term's are at most C(r - 1 + n, n)
 # (shrunk has at most n parts) and the second's at most C(r + n - 1, n - 1),
-# which sum to C(r + n, n).  Every state reached from a type has r <= weight
-# and n <= rank, so a width with 2**width > C(weight + rank, rank) is
-# carry-free.  This is far tighter than 2**(weight + rank), which would give
-# (300, 300, 300), whose coefficients stay below 2**19, 960-bit slots and a
-# query at b = 450 about 280 MB of memo.
-# count_stehling rounds the width up to a multiple of 64 bits, so slots are
-# whole machine words, which one memoryview cast unpacks, and few widths
-# occur; the memo key carries the width so that one memo shared across types
-# never mixes widths.
-#
-# Once cut, a state is stored up to duality.  The cut desc is itself a group
-# type, and a group has as many subgroups of order p**r as of index p**r, so
-# S(desc, r) = S(desc, weight(desc) - r) as polynomials: swapping r and gap is
-# exact, and each state is kept only with r <= gap.  The swap keeps r <= weight
-# and len(desc) <= rank, so the width bound above still covers every state,
-# and it changes no part of desc, so only desc[1:] is still recursed on.
+# which sum to C(r + n, n).  Normalising only lowers r and the parts, and
+# caps at r >= 1 leave every part positive, so every state reached from a
+# type still has r <= weight and n <= rank, and a width with
+# 2**width > C(weight + rank, rank) is carry-free.  This is far tighter than
+# 2**(weight + rank), which would give (300, 300, 300), whose coefficients
+# stay below 2**19, 960-bit slots and a query at b = 450 hundreds of MB of
+# memo.  count_stehling rounds the width up to a multiple of 64 bits, so
+# slots are whole machine words, which one memoryview cast unpacks, and few
+# widths occur; the memo key carries the width so that one memo shared
+# across types never mixes widths.
 
-def _stehling(desc, r, gap, width, memo):
-    """S(desc, r) packed at width bits a coefficient; gap = weight(desc) - r >= 0.
+def _normal(desc, r, gap):
+    """The normal form (desc, r, gap) of S(desc, r), where gap = weight(desc) - r >= 0.
 
-    A shrink step lowers r and the weight together, so gap is fixed down the
-    chain.  While desc[0] > gap the second term is 0 (r exceeds the weight of
-    desc[1:]), so the chain first cuts every part down to gap; the memo only
-    holds states past that cut.  A cut state with r > gap is then read as its
-    dual, with r and gap swapped, so the chain and every key it stores have
-    r <= gap, and a state and its dual share one entry.  Only desc[1:] is
-    recursed on, and only when its cut and folded state is not in the memo
-    yet, so the stack depth is at most the rank.
+    desc is descending.  r is folded to min(r, gap) and every part capped at
+    r until neither changes anything.  An r of 0 means S = 1, whatever desc.
     """
-    if not gap:  # the cut would leave S((), 0): only the whole group
-        return 1
-    if desc[0] > gap:
-        desc = tuple([a if a < gap else gap for a in desc])
-        r = sum(desc) - gap
-    if r > gap:  # S(desc, r) = S(desc, gap) by duality on the cut type
-        r, gap = gap, r
+    while True:
+        if r > gap:
+            r, gap = gap, r
+        if not r or desc[0] <= r:
+            return desc, r, gap
+        desc = tuple([a if a < r else r for a in desc])
+        gap = sum(desc) - r
+
+
+def _stehling(desc, r, width, memo):
+    """S(desc, r) packed at width bits a coefficient, for a normal state.
+
+    A shrink step lowers r and the weight together, so it keeps the gap and
+    the fold; it can only leave a part above the new r, and then the state
+    is normalised again before its lookup.  Every key the chain stores is
+    normal.  Only desc[1:] is recursed on, and only when its normal state is
+    not in the memo yet, so the stack depth is at most the rank.
+    """
     get, put = memo.get, memo.put
+    gap = sum(desc) - r
     chain = []
     while r:
         key = (width, desc, r)
         value = get(key)
         if value is not None:
             break
-        chain.append(key)
+        chain.append((key, gap))
         k = desc.count(desc[0])
         top = desc[0] - 1
         desc = desc[:k - 1] + (top,) + desc[k:] if top else desc[1:]
         r -= 1
+        if desc[0] > r:
+            desc, r, gap = _normal(desc, r, gap)
     else:
         value = 1
-    for key in reversed(chain):
+    for key, gap in reversed(chain):
         _, desc, r = key
-        # the second term is S(desc[1:], r), whose gap is gap - desc[0]; it is
-        # cut and folded here as the call would, so that a child already in
-        # the memo (most are) costs one lookup and no call
-        child_gap = gap - desc[0]
-        if not child_gap:
+        # the second term is S(desc[1:], r), whose gap is gap - desc[0] >= 0;
+        # it is normalised here, so that a child already in the memo (most
+        # are) costs one lookup and no call
+        rest, child_r, _ = _normal(desc[1:], r, gap - desc[0])
+        if not child_r:
             child = 1
         else:
-            rest = desc[1:]
-            if rest[0] > child_gap:
-                rest = tuple([a if a < child_gap else child_gap for a in rest])
-                child_r = sum(rest) - child_gap
-            else:
-                child_r = r
-            if not child_r:
-                child = 1
-            else:
-                child = get((width, rest, child_r if child_r < child_gap else child_gap))
-                if child is None:
-                    child = _stehling(rest, child_r, child_gap, width, memo)
+            child = get((width, rest, child_r))
+            if child is None:
+                child = _stehling(rest, child_r, width, memo)
         value = put(key, value + (child << (r * width)))
     return value
 

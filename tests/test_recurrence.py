@@ -17,6 +17,8 @@ from subcount.recurrence import MemoTable, count_hironaka, count_stehling, total
 
 
 small_types = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(GroupType)
+# parts run far past most order indices, so Stehling's caps apply again and again
+wide_types = st.lists(st.integers(1, 30), min_size=0, max_size=5).map(GroupType)
 
 
 class TestSpotValues:
@@ -84,6 +86,25 @@ class TestAgreement:
     def test_coefficients_nonnegative(self, t, b):
         f = count_hironaka(t, b)
         assert all(c >= 0 for c in f.coeffs)
+
+    @given(wide_types)
+    @settings(max_examples=40, deadline=None)
+    def test_hironaka_equals_stehling_wide_parts(self, t):
+        hironaka = MemoTable()
+        for b in range(-1, t.weight + 2):
+            assert count_stehling(t, b, MemoTable()) == count_hironaka(t, b, hironaka), b
+
+    def test_subgroups_lie_in_omega_r(self):
+        # a subgroup of order p**b is killed by p**b, so it lies in the
+        # subgroup of that exponent, whose type caps every part at b;
+        # Hironaka never caps a part, so this checks Stehling's normal form
+        # by another route
+        memo = MemoTable()
+        for rank in range(5):
+            for parts in itertools.combinations_with_replacement(range(1, 7), rank):
+                for b in range(sum(parts) + 1):
+                    capped = tuple(min(a, b) for a in parts)
+                    assert count_hironaka(parts, b, memo) == count_hironaka(capped, b, memo), (parts, b)
 
     def test_elementary_matches_geometric(self):
         assert count_hironaka((1, 1), 1) == geometric(2)
@@ -189,7 +210,8 @@ class TestStehlingDepth:
 class TestStehlingWork:
     """The memo holds the same states however the descent reaches them."""
 
-    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 942), ((25, 32, 33), 2179)])
+    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 288), ((25, 32, 33), 311)],
+                             ids=["rank4", "rank3"])
     def test_memo_entries_after_a_table(self, parts, entries):
         # one answer per b plus every packed state the table reaches; a child
         # found in the memo before its call must not add or skip a state
@@ -197,11 +219,26 @@ class TestStehlingWork:
         for b in range(sum(parts) + 1):
             count_stehling(parts, b, memo)
         assert len(memo) == entries
-        # a state (width, desc, r) is stored only in its folded form, with r
-        # at most its dual index weight(desc) - r; the answers are 2-tuples
+        # a state (width, desc, r) is stored only in its normal form, with
+        # every part at most r and r at most its dual index weight(desc) - r;
+        # the answers are 2-tuples
         states = [key for key in memo._data if len(key) == 3]
         assert len(states) == entries - (sum(parts) + 1)
-        assert all(2 * r <= sum(desc) for _, desc, r in states)
+        assert all(desc[0] <= r <= sum(desc) - r for _, desc, r in states)
+
+    def test_rank3_middle_index_entries(self):
+        # 23,026 entries when parts were capped only at the index gap
+        memo = MemoTable()
+        got = count_stehling((300, 300, 300), 450, memo)
+        assert len(memo) < 1_000
+        assert got == rank3_mmm(300, 450).value
+
+    def test_rank4_middle_index_entries(self):
+        # 39,173 entries when parts were capped only at the index gap
+        memo = MemoTable()
+        got = count_stehling((100, 200, 300, 400), 500, memo)
+        assert len(memo) < 5_000
+        assert got == count_hironaka((100, 200, 300, 400), 500, MemoTable())
 
 
 def gaussian_binomial(n, k, q):
