@@ -3,12 +3,13 @@
 Two independent recursions compute the number of subgroups of order p**b in
 an abelian p-group of a given type, as a polynomial in p.  One peels off the
 largest cyclic factor, the other peels off the smallest order-index step.
-Hironaka works on whole rows of IntPoly values; Stehling works on
-Kronecker-packed Python ints and builds an IntPoly only for its answer, so
-the two share no arithmetic code, which makes them useful as cross-checks on
-each other.
+Hironaka works on whole rows, summed as plain lists of int coefficients;
+Stehling works on Kronecker-packed Python ints.  Each builds an IntPoly only
+for the values it returns, so the two share no arithmetic code, which makes
+them useful as cross-checks on each other.
 """
 
+import operator
 import sys
 import threading
 from math import comb
@@ -78,26 +79,41 @@ def _extend_row(head_row, a):
     H(parts + (a,), b) is the sum of H(parts, i) * p**i over i <= b, less the
     sum over m - b < i <= mp when b > a, where m and mp are the weights with
     and without a.  With P_k the prefix sums of those terms, that is
-    P_min(b, mp) for b <= a, P_b - (P_mp - P_(m-b)) for a < b < mp, and
-    P_(m-b) for b >= mp.
+    P_min(b, mp) for b <= a, P_b + P_(m-b) - P_mp for a < b < mp, and
+    P_(m-b) for b >= mp.  The formula gives b and m - b the same entry, so
+    only b <= m // 2 is computed and the rest mirrored.  The prefix sums grow
+    in one coefficient list, a copy kept at each step, and each entry becomes
+    an IntPoly once.
     """
     mp = len(head_row) - 1
     m = mp + a
+    half = m // 2
+    acc = []
     prefix = []
-    acc = ZERO
     for i, h in enumerate(head_row):
-        acc = acc + h.shift(i)
-        prefix.append(acc)
-    top = prefix[mp]
-    row = []
-    for b in range(m + 1):
-        if b <= a:
-            row.append(prefix[min(b, mp)])
-        elif b < mp:
-            row.append(prefix[b] - (top - prefix[m - b]))
-        else:
-            row.append(prefix[m - b])
+        _add_at(acc, h.coeffs, i)
+        prefix.append(acc[:])
+    # P_min(b, mp) for b <= min(a, half); a >= mp makes half >= mp, so the
+    # entries past mp repeat P_mp
+    row = [IntPoly._trusted(prefix[k]) for k in range(min(a, half, mp) + 1)]
+    row += row[-1:] * (min(a, half) - mp)
+    if a < half:
+        top = prefix[mp]
+        for b in range(a + 1, half + 1):
+            entry = list(map(operator.neg, top))
+            _add_at(entry, prefix[b], 0)
+            _add_at(entry, prefix[m - b], 0)
+            row.append(IntPoly._trusted(entry))
+    row += reversed(row[:m - half])
     return tuple(row)
+
+
+def _add_at(acc, coeffs, i):
+    """Add coeffs * p**i into the coefficient list acc, in place."""
+    end = i + len(coeffs)
+    if end > len(acc):
+        acc += [0] * (end - len(acc))
+    acc[i:end] = map(operator.add, acc[i:end], coeffs)
 
 
 def count_stehling(t, b, memo=None):
@@ -110,7 +126,9 @@ def count_stehling(t, b, memo=None):
     if b < 0 or b > weight:
         return ZERO
     # the memo keeps each answer as well as the packed states (keyed by
-    # width first), so a repeated query is one lookup
+    # width first), so a repeated query is one lookup; b and its dual
+    # index weight - b have the same answer, stored once
+    b = min(b, weight - b)
     desc = t.descending()
     answer = memo.get((desc, b))
     if answer is None:
@@ -233,7 +251,7 @@ def total_count(t, memo=None):
         return IntPoly((t.weight + 1,))
     if memo is None:
         memo = _HIRONAKA_MEMO
-    acc = ZERO
+    acc = []
     for value in _hironaka_row(t, memo):
-        acc = acc + value
-    return acc
+        _add_at(acc, value.coeffs, 0)
+    return IntPoly._trusted(acc)

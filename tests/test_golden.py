@@ -36,6 +36,9 @@ COMMANDS = {
     "table.txt": ["table", "--type", "2,2,1"],
     "table-prime3.txt": ["table", "--type", "2,2,1", "--prime", "3"],
     "table-prime3.json": ["table", "--type", "2,2,1", "--prime", "3", "--json"],
+    # last part 6 against mp = 12 reaches every branch of recurrence._extend_row
+    "table-rank4.txt": ["table", "--type", "3,4,5,6", "--prime", "2"],
+    "table-rank4.json": ["table", "--type", "3,4,5,6", "--prime", "2", "--json"],
     "verify.txt": ["verify"],
     "verify.json": ["verify", "--json"],
     # the benchmark's verify workload at seed 1

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcount import recurrence
 from subcount.closedforms import rank2, rank3_mmm, rank4_mmmm_total
@@ -19,6 +19,31 @@ from subcount.recurrence import MemoTable, count_hironaka, count_stehling, total
 small_types = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(GroupType)
 # parts run far past most order indices, so Stehling's caps apply again and again
 wide_types = st.lists(st.integers(1, 30), min_size=0, max_size=5).map(GroupType)
+# rows of any polynomials, zero among them, with coefficient lists of
+# unequal lengths and either sign
+poly_rows = st.lists(st.lists(st.integers(-3, 3), max_size=5).map(IntPoly),
+                     min_size=1, max_size=9)
+
+
+def extend_row_reference(head_row, a):
+    """recurrence._extend_row term by term on IntPoly values."""
+    mp = len(head_row) - 1
+    m = mp + a
+    prefix = []
+    acc = ZERO
+    for i, h in enumerate(head_row):
+        acc = acc + h.shift(i)
+        prefix.append(acc)
+    top = prefix[mp]
+    row = []
+    for b in range(m + 1):
+        if b <= a:
+            row.append(prefix[min(b, mp)])
+        elif b < mp:
+            row.append(prefix[b] - (top - prefix[m - b]))
+        else:
+            row.append(prefix[m - b])
+    return tuple(row)
 
 
 class TestSpotValues:
@@ -93,6 +118,25 @@ class TestAgreement:
         hironaka = MemoTable()
         for b in range(-1, t.weight + 2):
             assert count_stehling(t, b, MemoTable()) == count_hironaka(t, b, hironaka), b
+
+    @given(poly_rows, st.integers(-9, 4))
+    @example([ONE, ZERO, IntPoly((0, 0, 5))], -1)  # a < mp, a zero entry
+    @example([IntPoly((2, 1)), ZERO, ONE], 0)  # a == mp
+    @example([IntPoly((1, -1)), IntPoly((0, 1))], 3)  # a > mp, cancelling terms
+    @settings(max_examples=200, deadline=None)
+    def test_extend_row_matches_term_by_term(self, head_row, offset):
+        # a runs from 1 to past mp, the head row's last index
+        a = max(1, len(head_row) - 1 + offset)
+        got = recurrence._extend_row(tuple(head_row), a)
+        want = extend_row_reference(head_row, a)
+        assert got == want
+        assert all(not r.coeffs or r.coeffs[-1] != 0 for r in got)
+
+    @given(wide_types)
+    @settings(max_examples=25, deadline=None)
+    def test_total_is_sum_of_stehling(self, t):
+        want = sum((count_stehling(t, b, MemoTable()) for b in range(t.weight + 1)), ZERO)
+        assert total_count(t, MemoTable()) == want
 
     def test_subgroups_lie_in_omega_r(self):
         # a subgroup of order p**b is killed by p**b, so it lies in the
@@ -210,20 +254,24 @@ class TestStehlingDepth:
 class TestStehlingWork:
     """The memo holds the same states however the descent reaches them."""
 
-    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 288), ((25, 32, 33), 311)],
+    @pytest.mark.parametrize("parts, entries", [((10, 14, 15, 17), 260), ((25, 32, 33), 266)],
                              ids=["rank4", "rank3"])
     def test_memo_entries_after_a_table(self, parts, entries):
-        # one answer per b plus every packed state the table reaches; a child
-        # found in the memo before its call must not add or skip a state
+        # one answer per dual pair b, m - b plus every packed state the table
+        # reaches; a child found in the memo before its call must not add or
+        # skip a state
+        m = sum(parts)
         memo = MemoTable()
-        for b in range(sum(parts) + 1):
+        for b in range(m + 1):
             count_stehling(parts, b, memo)
         assert len(memo) == entries
+        for b in range(m + 1):
+            assert count_stehling(parts, m - b, memo) is count_stehling(parts, b, memo)
         # a state (width, desc, r) is stored only in its normal form, with
         # every part at most r and r at most its dual index weight(desc) - r;
         # the answers are 2-tuples
         states = [key for key in memo._data if len(key) == 3]
-        assert len(states) == entries - (sum(parts) + 1)
+        assert len(states) == entries - (m // 2 + 1)
         assert all(desc[0] <= r <= sum(desc) - r for _, desc, r in states)
 
     def test_rank3_middle_index_entries(self):
@@ -307,6 +355,24 @@ class TestStehlingPacking:
         got = [count_stehling((1, 2, 3), b, MemoTable()).coeffs for b in range(7)]
         monkeypatch.undo()
         assert got == [count_hironaka((1, 2, 3), b, MemoTable()).coeffs for b in range(7)]
+
+
+class TestHironakaIndependence:
+    def test_independent_of_stehling(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Hironaka used the Stehling route")
+
+        for name in ("_stehling", "_normal", "count_stehling"):
+            monkeypatch.setattr(recurrence, name, forbidden)
+        parts = (3, 4, 5, 6)
+        bs = range(sum(parts) + 1)
+        memo = MemoTable()
+        got = [count_hironaka(parts, b, memo) for b in bs]
+        total = total_count(parts, MemoTable())
+        monkeypatch.undo()
+        want = [count_stehling(parts, b, MemoTable()) for b in bs]
+        assert got == want
+        assert total == sum(want, ZERO)
 
 
 class TestMemoTable:
