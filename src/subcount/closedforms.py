@@ -4,19 +4,22 @@ Each closed form is stored as a table of (coefficient, exponent) pairs, both
 integer-linear expressions in a1, a2, a3 (the three smallest parts, 0 past
 the rank) and the order index b; on the equal-part types (m, m, m) and
 (m, m, m, m) the tables read a1 = m.  ``CATALOGS`` holds each family's tables
-under its tag, and one evaluator serves them all: it assembles a table into a
-numerator coefficient list and divides it exactly by the standard
-denominator prod_{i<rank} (p**i - 1), one factor p**i - 1 at a time.  Each
-such pass is a running sum over the residue classes of the exponents mod i.
-A pass that leaves a remainder means a table is wrong: only then does the
-generic long division run, to give the remainder that ``FormulaBug`` reports
-with the case.  ``closed_form`` picks the family that answers a query (t, b),
-and ``CHAMBERS`` its case: the lowest case whose chamber admits b.
+under its tag, and one evaluator serves them all: it divides the sum of a
+table's terms exactly by the standard denominator prod_{i<rank} (p**i - 1)
+on one packed int.  Both are evaluated at p = 2**W, one divmod divides, and
+the quotient's W-bit digits are its coefficients; W is set by a proved bound
+on those coefficients.  A division the packed kernel cannot prove exact
+means a table is wrong: only then does the generic long division run, to
+give the remainder that ``FormulaBug`` reports with the case.
+``closed_form`` picks the family that answers a query (t, b), and
+``CHAMBERS`` its case: the lowest case whose chamber admits b.
 """
 
+import sys
 from collections import namedtuple
-from itertools import accumulate, compress, count
-from math import prod
+from functools import lru_cache
+from itertools import compress, count
+from math import comb, prod
 
 from .groups import GroupType, OutOfRange, RankMismatch, check_int
 from .polyring import ONE, ZERO, IntPoly
@@ -142,13 +145,11 @@ def merge_table(table):
     return {e: c for e, c in merged.items() if c != zero}
 
 
-def assemble_table(table, env):
-    """Evaluate a term table into a numerator polynomial.
+def _terms(table, a1, a2, a3, b):
+    """A table's nonzero terms at a1, a2, a3 and b, as (exponent, coefficient).
 
-    The terms are summed into one coefficient list, so the table builds one
-    IntPoly; a term with a nonzero coefficient needs a nonnegative exponent.
+    A term with a nonzero coefficient needs a nonnegative exponent.
     """
-    a1, a2, a3, b = env["a1"], env["a2"], env["a3"], env["b"]
     terms = []
     # each LinForm is ((a1, a2, a3, b) coefficients, constant)
     for ((c1, c2, c3, cb), c), ((e1, e2, e3, eb), e) in table:
@@ -158,39 +159,100 @@ def assemble_table(table, env):
             if e < 0:
                 raise ValueError("exponent must be nonnegative, got %d" % e)
             terms.append((e, c))
+    return terms
+
+
+def _poly(terms):
+    """The IntPoly that is the sum of c * p**e over the (e, c) terms."""
     coeffs = [0] * (max(terms)[0] + 1 if terms else 0)
     for e, c in terms:
         coeffs[e] += c
-    # int table entries at int parts and b give int coefficients
+    # int terms give int coefficients
     return IntPoly._trusted(coeffs)
 
 
-def _divide_pm1(coeffs, steps):
-    """Divide a coefficient sequence by p**i - 1 for each i in steps, in turn.
+def assemble_table(table, env):
+    """Evaluate a term table into a numerator polynomial.
 
-    N = Q * (p**i - 1) reads n_j = q_(j-i) - q_j, so q_j is minus the
-    running sum s_j of the n_l with l = j mod i, l <= j, and N divides
-    exactly iff the last i running sums are 0.  Returns the quotient's
-    coefficient list (which may end in zeros), or None when a pass leaves a
-    remainder.
+    The terms are summed into one coefficient list, so the table builds one
+    IntPoly; a term with a nonzero coefficient needs a nonnegative exponent.
     """
-    for i in steps:
-        sums = list(coeffs)
-        for r in range(i):
-            sums[r::i] = accumulate(coeffs[r::i])
-        if any(sums[-i:]):
-            return None
-        coeffs = [-s for s in sums[:-i]]
+    return _poly(_terms(table, env["a1"], env["a2"], env["a3"], env["b"]))
+
+
+# Exact division on one packed int.  The numerator N, the sum of its terms
+# c * p**e, is packed as N(X), X = 2**W, the int sum of c << (W * e), and the
+# denominator D = prod (p**i - 1) over steps as D(X), cached.  One divmod
+# gives q, r = divmod(N(X), D(X)); the quotient U is read from q as its
+# unsigned W-bit digits u_j by one to_bytes and one memoryview cast.  W is
+# the least multiple of 64 with 2**(W - 1) > bound * 2**k, k = len(steps),
+# for a bound on the quotient's coefficients known before the division.  A
+# right table's quotient counts subgroups, so its coefficients lie in
+# [0, C(weight + rank, rank)] (the bound proved above recurrence._stehling).
+#
+# Claim: if ||N||_1 < 2**(W - 1), r == 0, q >= 0 and every u_j <= bound,
+# then N = U * D.  Proof: U(X) = q, as q >= 0 has one expansion in digits
+# in [0, X), so (U * D)(X) = N(X).  Each p**i - 1 has l1 norm 2, so every
+# coefficient of U * D is at most bound * 2**k < 2**(W - 1) in absolute
+# value, and every coefficient of N at most ||N||_1 < 2**(W - 1).  A
+# polynomial with coefficients in (-2**(W - 1), 2**(W - 1)) is read back
+# from its value at X slot by slot, the lowest slot being the value's
+# signed residue mod X, so N and U * D, equal at X, are equal.  A right
+# table passes: its quotient's coefficients lie in [0, bound], and its few
+# terms, each linear in the parts, sum to far less than 2**63 in absolute
+# value.  Anything else takes the generic route, the long division by the
+# whole denominator, whose remainder FormulaBug reports.
+
+@lru_cache(maxsize=32)
+def _packed_denominator(width, steps):
+    """prod (p**i - 1) over steps, packed at width bits a slot."""
+    return prod((1 << (width * i)) - 1 for i in steps)
+
+
+def _quotient(terms, steps, bound):
+    """The coefficients of N / prod(p**i - 1 for i in steps), N the terms' sum.
+
+    steps is a tuple.  None unless the claim above proves the division
+    exact, with every quotient coefficient in [0, bound].
+    """
+    width = ((bound << len(steps)).bit_length() // 64 + 1) * 64
+    packed = l1 = 0
+    for e, c in terms:
+        packed += c << (width * e)
+        l1 += abs(c)
+    if l1 >> (width - 1):
+        return None
+    q, r = divmod(packed, _packed_denominator(width, steps))
+    if r or q < 0:
+        return None
+    # the slots are whole 64-bit words, so one cast reads every word; a
+    # big-endian machine lists them highest first
+    words = width // 64
+    size = -(-q.bit_length() // width) * words * 8
+    coeffs = memoryview(q.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+    if sys.byteorder == "big":
+        coeffs.reverse()
+    if words > 1:
+        coeffs = [sum(w << (64 * j) for j, w in enumerate(coeffs[i:i + words]))
+                  for i in range(0, len(coeffs), words)]
+    if coeffs and max(coeffs) > bound:
+        return None
     return coeffs
 
 
-def _divide(numerator, steps, case):
-    """numerator / prod(p**i - 1 for i in steps); a remainder raises FormulaBug."""
-    quotient = _divide_pm1(numerator.coeffs, steps)
+def _generic(terms, steps, case):
+    """The long division by the whole denominator; a remainder raises FormulaBug."""
+    quotient, remainder = _poly(terms).divmod(_pm1_product(steps))
+    if remainder:
+        raise FormulaBug(case, remainder)
+    return quotient
+
+
+def _divide(terms, steps, bound, case):
+    """The terms' sum over prod(p**i - 1 for i in steps), for a quotient in [0, bound]."""
+    quotient = _quotient(terms, steps, bound)
     if quotient is None:
-        # the passes stop at the first remainder; the error reports the
-        # remainder of the whole division
-        raise FormulaBug(case, numerator.divmod(_pm1_product(steps))[1])
+        return _generic(terms, steps, case)
     return IntPoly._trusted(quotient)
 
 
@@ -200,7 +262,8 @@ def _by_chamber(family, parts, b, case_no=None):
     parts are ascending.  A case_no is evaluated in place of the lowest case,
     and raises OutOfRange if its chamber does not admit b.
     """
-    _check_b(b, sum(parts))
+    m = sum(parts)
+    _check_b(b, m)
     a1, a2, a3 = (parts + (0, 0))[:3]
     row = CHAMBERS[family](a1, a2, a3, b)
     if case_no is None:
@@ -211,9 +274,10 @@ def _by_chamber(family, parts, b, case_no=None):
         case = CaseId(family, case_no)
         if not row[case_no - 1]:
             raise OutOfRange("%s does not admit type %s b=%d" % (case, parts, b))
-    numerator = assemble_table(CATALOGS[family][case.case],
-                               {"a1": a1, "a2": a2, "a3": a3, "b": b})
-    return FormulaResult(_divide(numerator, range(1, len(parts)), case), case, True)
+    rank = len(parts)
+    terms = _terms(CATALOGS[family][case.case], a1, a2, a3, b)
+    value = _divide(terms, tuple(range(1, rank)), comb(m + rank, rank), case)
+    return FormulaResult(value, case, True)
 
 
 def _of_rank(t, rank):
@@ -585,7 +649,9 @@ def rank4_mmmm_total(m):
         4 * m + 9,
         4 * m + 7,
     ))
-    return _divide(head - mid - tail, (2, 2, 3, 3), "rank4-mmmm total")
+    # the total of (m, m, m, m) sums 4m + 1 subgroup counts
+    return _divide(list(enumerate((head - mid - tail).coeffs)), (2, 2, 3, 3),
+                   (4 * m + 1) * comb(4 * m + 4, 4), "rank4-mmmm total")
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +702,16 @@ def gaussian_binomial(d, b):
     check_int("b", b)
     if not 0 <= b <= d:
         raise OutOfRange("need 0 <= b <= d, got b=%d d=%d" % (b, d))
+    # [d choose b] = [d choose d - b], so k = min(b, d - b) factors suffice
+    k = min(b, d - b)
     value = IntPoly.one()
-    for i in range(1, b + 1):
-        value = value * (IntPoly.term(1, d - b + i) - 1)
-        # value is [d - b + i choose i] * (p**i - 1), so the pass is exact
-        value = IntPoly._trusted(_divide_pm1(value.coeffs, (i,)))
-    return value
+    for i in range(1, k + 1):
+        # the factor on the left: its two terms make the outer loop
+        value = (IntPoly.term(1, d - k + i) - 1) * value
+    # [d choose b] counts the subgroups of order p**b in (1, ..., 1), d
+    # parts, and its coefficients are nonnegative and sum to C(d, b)
+    return _divide(list(enumerate(value.coeffs)), tuple(range(1, k + 1)), comb(d, b),
+                   "gaussian_binomial(%d, %d)" % (d, b))
 
 
 def anyrank_case1(t, b):

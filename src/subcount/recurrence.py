@@ -11,7 +11,6 @@ them useful as cross-checks on each other.
 
 import operator
 import sys
-import threading
 from math import comb
 
 from .groups import GroupType, check_int
@@ -23,13 +22,13 @@ class MemoTable:
 
     def __init__(self):
         self._data = {}
-        self._lock = threading.Lock()
-        # reads take no lock; the bound dict method saves a Python call
+        # the bound dict method saves a Python call
         self.get = self._data.get
 
     def put(self, key, value):
-        with self._lock:
-            existing = self._data.setdefault(key, value)
+        # dict.setdefault is one atomic call, so of two threads that store
+        # the same key, both return the value that was stored first
+        existing = self._data.setdefault(key, value)
         if existing is not value and existing != value:
             raise RuntimeError("memo entry for %r rewritten with a different value" % (key,))
         return existing
@@ -38,8 +37,7 @@ class MemoTable:
         return len(self._data)
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 _HIRONAKA_MEMO = MemoTable()

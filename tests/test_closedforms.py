@@ -1,12 +1,14 @@
 """Closed-form case tables against the recurrence."""
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subcount import closedforms
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
-    LinForm, OrderViolation, RANK3_TABLES, _divide_pm1, anyrank_case1,
+    LinForm, OrderViolation, RANK3_TABLES, _divide, _quotient, anyrank_case1,
     assemble_table, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl, standard_denominator,
@@ -14,7 +16,7 @@ from subcount.closedforms import (
 )
 from subcount.groups import GroupType, OutOfRange, RankMismatch
 from subcount.polyring import IntPoly, ONE, ZERO
-from subcount.recurrence import count_hironaka, total_count
+from subcount.recurrence import MemoTable, count_hironaka, count_stehling, total_count
 
 L = LinForm.of
 
@@ -146,43 +148,95 @@ def pm1(i):
 
 
 small_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=12))
+# quotients the kernel takes: coefficients in [0, BOUND]
+BOUND = 9
+bounded_polys = st.builds(IntPoly, st.lists(st.integers(0, BOUND), max_size=12))
+
+
+def terms_of(f):
+    return list(enumerate(f.coeffs))
+
+
+def packed_quotient(f, steps, bound=BOUND):
+    """The packed kernel on the polynomial f."""
+    return _quotient(terms_of(f), tuple(steps), bound)
+
+
+def pm1_product(steps):
+    den = IntPoly.one()
+    for i in steps:
+        den = den * pm1(i)
+    return den
 
 
 class TestDividePm1:
-    """The p**i - 1 passes against IntPoly.divmod."""
+    """Division by products of p**i - 1: the packed kernel against IntPoly.divmod."""
 
-    @given(small_polys, st.integers(1, 6))
+    @given(bounded_polys, st.integers(1, 6))
     @example(ZERO, 3)
     def test_exact_multiples(self, g, i):
-        assert IntPoly(_divide_pm1(list((g * pm1(i)).coeffs), (i,))) == g
+        assert IntPoly(packed_quotient(g * pm1(i), (i,))) == g
 
     @given(small_polys, st.integers(1, 6))
     @example(ZERO, 4)
     @example(IntPoly((2, 0, -1)), 3)
     @example(IntPoly((0, 0, 0, 0, 0, 7)), 6)
+    # exact, but the quotient 1 - p has a negative coefficient
+    @example(IntPoly((-1, 1, 1, -1)), 2)
+    # exact, but the quotient 10 is above the bound
+    @example(IntPoly((-10, 0, 0, 10)), 3)
+    # 2**64 - 1 is p - 1 at p = 2**64: only the l1 check refuses it
+    @example(IntPoly((2 ** 64 - 1,)), 1)
     def test_remainder_exactly_when_divmod_has_one(self, f, i):
         quotient, remainder = f.divmod(pm1(i))
-        got = _divide_pm1(list(f.coeffs), (i,))
-        assert (got is None) == (not remainder.is_zero)
-        if got is not None:
+        got = packed_quotient(f, (i,))
+        if not remainder.is_zero:
+            assert got is None
+        elif all(0 <= c <= BOUND for c in quotient.coeffs):
             assert IntPoly(got) == quotient
+        else:
+            # exact, but not shown to be by the kernel: _divide's generic route
+            assert got is None
+            assert _divide(terms_of(f), (i,), BOUND, "test") == quotient
 
     @pytest.mark.parametrize("i", range(1, 7))
     def test_zero_and_low_degree_numerators(self, i):
-        assert _divide_pm1([], (i,)) == []
+        assert packed_quotient(ZERO, (i,)) == []
         for degree in range(i):
-            assert _divide_pm1(list(IntPoly.term(5, degree).coeffs), (i,)) is None
+            assert packed_quotient(IntPoly.term(5, degree), (i,)) is None
 
-    @given(small_polys, st.lists(st.integers(1, 6), max_size=4))
+    @given(bounded_polys, st.lists(st.integers(1, 6), max_size=4))
+    @example(IntPoly((1, 2, 3)), [2, 2, 3, 3])
     @settings(max_examples=60)
-    def test_several_passes(self, g, steps):
-        den = IntPoly.one()
-        for i in steps:
-            den = den * pm1(i)
-        assert IntPoly(_divide_pm1(list((g * den).coeffs), steps)) == g
+    def test_several_factors(self, g, steps):
+        den = pm1_product(steps)
+        assert IntPoly(packed_quotient(g * den, steps)) == g
         if steps:
             # every p**i - 1 vanishes at p = 1, and g * den + 1 does not
-            assert _divide_pm1(list((g * den + 1).coeffs), steps) is None
+            assert packed_quotient(g * den + 1, steps) is None
+
+    @given(small_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_divide_answers_like_divmod(self, f, steps):
+        # the kernel when it can, else the generic route with its FormulaBug
+        quotient, remainder = f.divmod(pm1_product(steps))
+        if remainder.is_zero:
+            assert _divide(terms_of(f), tuple(steps), BOUND, "test") == quotient
+        else:
+            with pytest.raises(FormulaBug) as info:
+                _divide(terms_of(f), tuple(steps), BOUND, "test")
+            assert info.value.case == "test" and info.value.remainder == remainder
+
+    def test_slots_of_several_words(self):
+        # 2**130 + 5 takes 131 bits, so the slots are three words
+        g = IntPoly((2 ** 64, 1, 2 ** 130 + 5))
+        for steps in [(1,), (2, 2, 3, 3)]:
+            assert IntPoly(packed_quotient(g * pm1_product(steps), steps, 2 ** 130 + 5)) == g
+            assert packed_quotient(g * pm1_product(steps), steps, 2 ** 130 + 4) is None
+        # (p - 1)**3 has l1 norm 8, so a quotient digit of 2**62 needs 2**65
+        # in a slot of the product: the slots are two words
+        assert packed_quotient(IntPoly((2 ** 62,)) * pm1_product((1, 1, 1)), (1, 1, 1),
+                               2 ** 62) == [2 ** 62]
 
 
 def catalog_queries():
@@ -238,19 +292,44 @@ class TestEvaluator:
             seen.add(res.case)
         assert seen == {CaseId(f, k) for f, tables in CATALOGS.items() for k in tables}
 
-    @pytest.mark.parametrize("family, case_no, field, evaluate, t, b, failing_pass", [
-        # k = 1: the only pass finds the remainder
-        ("rank2", 1, "coefficient", rank2, GroupType((2, 3)), 1, 1),
-        # k = 3: an exponent moved by one still divides by p - 1, so the
-        # second pass finds the remainder
-        ("rank4-partial", 2, "exponent", rank4_partial, GroupType((1, 2, 3, 4)), 2, 2),
+    @pytest.mark.parametrize("family, case_no, field, evaluate, t, b", [
+        ("rank2", 1, "coefficient", rank2, GroupType((2, 3)), 1),
+        # an exponent moved by one still divides by p - 1, but not by p**2 - 1
+        ("rank4-partial", 2, "exponent", rank4_partial, GroupType((1, 2, 3, 4)), 2),
     ], ids=["rank2", "rank4-partial"])
-    def test_perturbed_table_raises(self, family, case_no, field, evaluate, t, b,
-                                    failing_pass):
-        numerator = list(assert_perturbation_raises(
-            family, case_no, field, evaluate, t, b).coeffs)
-        assert _divide_pm1(numerator, range(1, failing_pass)) is not None
-        assert _divide_pm1(numerator, range(1, failing_pass + 1)) is None
+    def test_perturbed_table_raises(self, family, case_no, field, evaluate, t, b):
+        numerator = assert_perturbation_raises(family, case_no, field, evaluate, t, b)
+        rank = len(t)
+        assert packed_quotient(numerator, range(1, rank), comb(t.weight + rank, rank)) is None
+
+    def test_no_right_table_takes_the_generic_route(self, monkeypatch):
+        def refuse(terms, steps, case):
+            raise AssertionError("%s took the generic route" % (case,))
+
+        monkeypatch.setattr(closedforms, "_generic", refuse)
+        assert all(res.covered for res, _, _ in catalog_queries())
+        for m in range(1, 7):
+            rank4_mmmm_total(m)
+        for d in range(14):
+            for b in range(d + 1):
+                gaussian_binomial(d, b)
+
+
+class TestWideSlots:
+    """Quotients whose bound needs slots of two 64-bit words."""
+
+    def test_rank3_with_a_65_bit_count_bound(self):
+        parts = GroupType((10 ** 6, 2 * 10 ** 6, 3 * 10 ** 6))
+        assert comb(parts.weight + 3, 3).bit_length() == 65
+        res = rank3(parts, 5)
+        numerator = assemble_table(CATALOGS["rank3"][res.case.case], env_at(parts, 5))
+        assert res.value == numerator.exact_div(standard_denominator(2))
+        assert res.value == count_stehling(parts, 5, MemoTable())
+
+    def test_gaussian_binomial_with_65_bit_coefficients(self):
+        got = gaussian_binomial(76, 38)
+        assert max(got.coeffs).bit_length() == 65
+        assert got == pm1_product(range(39, 77)).exact_div(pm1_product(range(1, 39)))
 
 
 class TestRank2:

@@ -33,6 +33,9 @@ COMMANDS = {
     "count-rank3-reflected.txt": ["count", "--type", "1,2,3", "--b", "5"],
     "count-rank4-gap.txt": ["count", "--type", "1,1,4,4", "--b", "5"],
     "count-rank5-anyrank.txt": ["count", "--type", "2,2,3,3,4", "--b", "13"],
+    # the count bound C(weight + 3, 3) needs 65 bits, so the slots are two words
+    "count-wide-slots.json": [
+        "count", "--type", "1000000,2000000,3000000", "--b", "5", "--json"],
     "table.txt": ["table", "--type", "2,2,1"],
     "table-prime3.txt": ["table", "--type", "2,2,1", "--prime", "3"],
     "table-prime3.json": ["table", "--type", "2,2,1", "--prime", "3", "--json"],
