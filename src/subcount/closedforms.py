@@ -7,22 +7,22 @@ the rank) and the order index b; on the equal-part types (m, m, m) and
 under its tag, and one evaluator serves them all: it divides the sum of a
 table's terms exactly by the standard denominator prod_{i<rank} (p**i - 1)
 on one packed int.  Both are evaluated at p = 2**W, one divmod divides, and
-the quotient's W-bit digits are its coefficients; W is set by a proved bound
-on those coefficients.  A division the packed kernel cannot prove exact
-means a table is wrong: only then does the generic long division run, to
-give the remainder that ``FormulaBug`` reports with the case.
+the quotient's W-bit slots, read by polyring's slot codec, are its
+coefficients; W is set by a proved bound on those coefficients.  A division
+the packed kernel cannot prove exact means a table is wrong: only then does
+the generic long division run, to give the remainder that ``FormulaBug``
+reports with the case.
 ``closed_form`` picks the family that answers a query (t, b), and
 ``CHAMBERS`` its case: the lowest case whose chamber admits b.
 """
 
-import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import comb, prod
 
 from .groups import GroupType, OutOfRange, RankMismatch, check_int
-from .polyring import ONE, ZERO, IntPoly
+from .polyring import ONE, ZERO, IntPoly, slot_width, unpack_slots
 
 
 class OrderViolation(ValueError):
@@ -114,11 +114,6 @@ class LinForm(namedtuple("LinForm", "coeffs const")):
 L = LinForm.of
 
 
-def standard_denominator(k):
-    """prod_{i=1}^{k} (p**i - 1), the denominator of every rank-(k + 1) table."""
-    return _pm1_product(range(1, k + 1))
-
-
 def _pm1_product(steps):
     """prod (p**i - 1) over steps, as an IntPoly."""
     return prod((IntPoly.term(1, i) - 1 for i in steps), start=ONE)
@@ -171,24 +166,16 @@ def _poly(terms):
     return IntPoly._trusted(coeffs)
 
 
-def assemble_table(table, env):
-    """Evaluate a term table into a numerator polynomial.
-
-    The terms are summed into one coefficient list, so the table builds one
-    IntPoly; a term with a nonzero coefficient needs a nonnegative exponent.
-    """
-    return _poly(_terms(table, env["a1"], env["a2"], env["a3"], env["b"]))
-
-
 # Exact division on one packed int.  The numerator N, the sum of its terms
 # c * p**e, is packed as N(X), X = 2**W, the int sum of c << (W * e), and the
 # denominator D = prod (p**i - 1) over steps as D(X), cached.  One divmod
 # gives q, r = divmod(N(X), D(X)); the quotient U is read from q as its
-# unsigned W-bit digits u_j by one to_bytes and one memoryview cast.  W is
-# the least multiple of 64 with 2**(W - 1) > bound * 2**k, k = len(steps),
-# for a bound on the quotient's coefficients known before the division.  A
-# right table's quotient counts subgroups, so its coefficients lie in
-# [0, C(weight + rank, rank)] (the bound proved above recurrence._stehling).
+# unsigned W-bit digits u_j by polyring.unpack_slots.  W is
+# polyring.slot_width(bound * 2**k), the least multiple of 64 with
+# 2**(W - 1) > bound * 2**k, k = len(steps), for a bound on the quotient's
+# coefficients known before the division.  A right table's quotient counts
+# subgroups, so its coefficients lie in [0, C(weight + rank, rank)] (the
+# bound proved above recurrence._stehling).
 #
 # Claim: if ||N||_1 < 2**(W - 1), r == 0, q >= 0 and every u_j <= bound,
 # then N = U * D.  Proof: U(X) = q, as q >= 0 has one expansion in digits
@@ -215,7 +202,7 @@ def _quotient(terms, steps, bound):
     steps is a tuple.  None unless the claim above proves the division
     exact, with every quotient coefficient in [0, bound].
     """
-    width = ((bound << len(steps)).bit_length() // 64 + 1) * 64
+    width = slot_width(bound << len(steps))
     packed = l1 = 0
     for e, c in terms:
         packed += c << (width * e)
@@ -225,16 +212,7 @@ def _quotient(terms, steps, bound):
     q, r = divmod(packed, _packed_denominator(width, steps))
     if r or q < 0:
         return None
-    # the slots are whole 64-bit words, so one cast reads every word; a
-    # big-endian machine lists them highest first
-    words = width // 64
-    size = -(-q.bit_length() // width) * words * 8
-    coeffs = memoryview(q.to_bytes(size, sys.byteorder)).cast("Q").tolist()
-    if sys.byteorder == "big":
-        coeffs.reverse()
-    if words > 1:
-        coeffs = [sum(w << (64 * j) for j, w in enumerate(coeffs[i:i + words]))
-                  for i in range(0, len(coeffs), words)]
+    coeffs = unpack_slots(q, width)
     if coeffs and max(coeffs) > bound:
         return None
     return coeffs
@@ -669,21 +647,22 @@ def _check_chain(w, x, y, z):
 def rank4_total_ccl(w, x, y, z):
     """Total subgroup count of the type (w, x, y, z) by the direct triple sum."""
     _check_chain(w, x, y, z)
-    acc = IntPoly.zero()
+    # (exponent, coefficient) terms, summed into one coefficient list by _poly
+    terms = []
     s = w + x + y + z
     for i in range(0, w):
         for j in range(0, i + 1):
-            acc = acc + IntPoly.term((s - 4 * i + 1) * (2 * i - 2 * j + 1), 3 * i + j)
-            acc = acc + IntPoly.term((s - 4 * i - 1) * (2 * i - 2 * j + 1), 3 * i + j + 1)
-            acc = acc + IntPoly.term(2 * (s - 4 * i - 2) * (i - j + 1), 3 * i + j + 2)
+            terms.append((3 * i + j, (s - 4 * i + 1) * (2 * i - 2 * j + 1)))
+            terms.append((3 * i + j + 1, (s - 4 * i - 1) * (2 * i - 2 * j + 1)))
+            terms.append((3 * i + j + 2, 2 * (s - 4 * i - 2) * (i - j + 1)))
     for i in range(0, w + 1):
         for j in range(w, x):
-            acc = acc + IntPoly.term((w + j - 2 * i + 1) * (x + y + z - 3 * j + 1), w + 2 * j + i)
-            acc = acc + IntPoly.term((w + j - 2 * i + 1) * (x + y + z - 3 * j - 1), w + 2 * j + i + 1)
+            terms.append((w + 2 * j + i, (w + j - 2 * i + 1) * (x + y + z - 3 * j + 1)))
+            terms.append((w + 2 * j + i + 1, (w + j - 2 * i + 1) * (x + y + z - 3 * j - 1)))
     for i in range(0, w + 1):
         for j in range(x, y + 1):
-            acc = acc + IntPoly.term((y + z - 2 * j + 1) * (w + x - 2 * i + 1), w + x + i + j)
-    return acc
+            terms.append((w + x + i + j, (y + z - 2 * j + 1) * (w + x - 2 * i + 1)))
+    return _poly(terms)
 
 
 def leading_term_ccl(w, x, y, z):

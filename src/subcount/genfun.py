@@ -6,14 +6,15 @@ evaluated at 2**width, one signed width-bit slot per power of p.  A rational
 expression is expanded by dividing its numerator by each denominator factor
 in turn, one pass over a flat list of the box per factor, and the resulting
 coefficients are compared, still packed, against recurrence values.  This
-module packs and unpacks its own values, so it shares no arithmetic with the
-packed Stehling recurrence it checks.
+module packs and unpacks its own signed values, so it shares no arithmetic
+with the packed Stehling recurrence it checks; only the width rule,
+polyring.slot_width, is common to both.
 """
 
 from itertools import product
 
 from .groups import GroupType
-from .polyring import P, IntPoly, geometric
+from .polyring import P, IntPoly, geometric, slot_width
 from .recurrence import count_stehling
 
 
@@ -32,12 +33,9 @@ class NonUnitConstant(ValueError):
 # then the signed residue of the value mod 2**w, and the rest is the value
 # less that slot, shifted down.  So two packed values whose coefficients fit
 # are equal iff their polynomials are.  Each series carries a proved bound
-# on the absolute values of its coefficients, and its width w is the least
-# whole number of 64-bit words whose signed slots hold that bound.
-
-def _width_for(bound):
-    return (bound.bit_length() // 64 + 1) * 64
-
+# on the absolute values of its coefficients, and its width w is
+# polyring.slot_width of that bound, the least whole number of 64-bit words
+# whose signed slots hold it.
 
 def _pack(coeffs, width):
     """The packed value of ascending coefficients; raises if one does not fit."""
@@ -97,7 +95,7 @@ class MultiSeries:
                 polys[mono] = coeff
         self._bound = max((abs(c) for poly in polys.values() for c in poly.coeffs),
                           default=0)
-        self._width = _width_for(self._bound)
+        self._width = slot_width(self._bound)
         self._data = {mono: _pack(poly.coeffs, self._width)
                       for mono, poly in polys.items()}
 
@@ -108,7 +106,7 @@ class MultiSeries:
         series.bounds = bounds
         series._data = data
         series._bound = bound
-        series._width = _width_for(bound)
+        series._width = slot_width(bound)
         return series
 
     def coeff(self, e1, e2, ey):
@@ -141,7 +139,7 @@ class MultiSeries:
     def __add__(self, other):
         self._check_compatible(other)
         bound = self._bound + other._bound
-        width = _width_for(bound)
+        width = slot_width(bound)
         data = dict(self._at(width))
         for mono, value in other._at(width).items():
             total = data.get(mono, 0) + value
@@ -207,7 +205,7 @@ def expand_rational(numerator, factors):
         numerator._check_compatible(factor)
         norm = factor._norm() - 1
         bound *= sum(norm ** j for j in range(sum(bounds) + 1))
-    width = _width_for(bound)
+    width = slot_width(bound)
     b1, b2, b3 = bounds
     sy = b3 + 1
     s2 = (b2 + 1) * sy

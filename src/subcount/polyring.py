@@ -2,7 +2,10 @@
 
 Coefficients are arbitrary-precision ints stored in ascending order of
 exponent, with no trailing zeros, so equal polynomials always compare equal.
+The module also holds the packed-slot codec that the packed routes share.
 """
+
+import sys
 
 
 class ZeroPolynomial(ValueError):
@@ -276,3 +279,35 @@ def geometric(k):
     if k <= 0:
         return ZERO
     return IntPoly((1,) * k)
+
+
+# The packed-slot codec.  A polynomial c_0 + c_1*p + ... packs as its value
+# at p = 2**width, the int sum of c_i << (i * width), so int + and * act as
+# on the polynomials and a shift by r * width multiplies by p**r.  A caller
+# proves a bound on the coefficients, and slot_width makes it a width.
+
+def slot_width(bound):
+    """The least multiple of 64, width, with 2**(width - 1) > bound >= 0.
+
+    Its slots hold [0, bound] unsigned and [-bound, bound] signed, and are
+    whole 64-bit words, so few widths occur and one cast reads them back.
+    """
+    return (bound.bit_length() // 64 + 1) * 64
+
+
+def unpack_slots(value, width):
+    """The width-bit slots of an int value >= 0, lowest first, as a list.
+
+    width is a multiple of 64.  The list ends at the highest nonzero slot,
+    so it is empty for 0.
+    """
+    words = width // 64
+    size = -(-value.bit_length() // width) * words * 8
+    slots = memoryview(value.to_bytes(size, sys.byteorder)).cast("Q").tolist()
+    # a big-endian machine lists the words highest first
+    if sys.byteorder == "big":
+        slots.reverse()
+    if words > 1:
+        slots = [sum(w << (64 * j) for j, w in enumerate(slots[i:i + words]))
+                 for i in range(0, len(slots), words)]
+    return slots

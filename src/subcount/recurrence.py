@@ -4,17 +4,16 @@ Two independent recursions compute the number of subgroups of order p**b in
 an abelian p-group of a given type, as a polynomial in p.  One peels off the
 largest cyclic factor, the other peels off the smallest order-index step.
 Hironaka works on whole rows, summed as plain lists of int coefficients;
-Stehling works on Kronecker-packed Python ints.  Each builds an IntPoly only
-for the values it returns, so the two share no arithmetic code, which makes
-them useful as cross-checks on each other.
+Stehling works on Python ints packed by polyring's slot codec.  Each builds
+an IntPoly only for the values it returns, so the two share no arithmetic
+code, which makes them useful as cross-checks on each other.
 """
 
 import operator
-import sys
 from math import comb
 
 from .groups import GroupType, check_int
-from .polyring import ONE, ZERO, IntPoly
+from .polyring import ONE, ZERO, IntPoly, slot_width, unpack_slots
 
 
 class MemoTable:
@@ -35,9 +34,6 @@ class MemoTable:
 
     def __len__(self):
         return len(self._data)
-
-    def clear(self):
-        self._data.clear()
 
 
 _HIRONAKA_MEMO = MemoTable()
@@ -130,21 +126,11 @@ def count_stehling(t, b, memo=None):
     desc = t.descending()
     answer = memo.get((desc, b))
     if answer is None:
-        words = comb(weight + t.rank, t.rank).bit_length() // 64 + 1
-        width = words * 64
+        width = slot_width(comb(weight + t.rank, t.rank))
         state, r, _ = _normal(desc, b, weight - b)
         packed = _stehling(state, r, width, memo)
-        # the slots are whole 64-bit words, so one cast reads every word;
-        # a big-endian machine lists them highest first
-        size = -(-packed.bit_length() // width) * words * 8
-        coeffs = memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q").tolist()
-        if sys.byteorder == "big":
-            coeffs.reverse()
-        if words > 1:
-            coeffs = [sum(w << (64 * j) for j, w in enumerate(coeffs[i:i + words]))
-                      for i in range(0, len(coeffs), words)]
         # the slots hold nonnegative ints by construction
-        answer = memo.put((desc, b), IntPoly._trusted(coeffs))
+        answer = memo.put((desc, b), IntPoly._trusted(unpack_slots(packed, width)))
     return answer
 
 
@@ -180,8 +166,8 @@ def count_stehling(t, b, memo=None):
 # 2**width > C(weight + rank, rank) is carry-free.  This is far tighter than
 # 2**(weight + rank), which would give (300, 300, 300), whose coefficients
 # stay below 2**19, 960-bit slots and a query at b = 450 hundreds of MB of
-# memo.  count_stehling rounds the width up to a multiple of 64 bits, so
-# slots are whole machine words, which one memoryview cast unpacks, and few
+# memo.  count_stehling takes polyring.slot_width of that bound, so slots
+# are whole machine words, which polyring.unpack_slots reads back, and few
 # widths occur; the memo key carries the width so that one memo shared
 # across types never mixes widths.
 

@@ -8,14 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from subcount import closedforms
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
-    LinForm, OrderViolation, RANK3_TABLES, _divide, _quotient, anyrank_case1,
-    assemble_table, closed_form, gaussian_binomial, leading_term_ccl,
+    LinForm, OrderViolation, RANK3_TABLES, _divide, _pm1_product, _poly, _quotient, _terms,
+    anyrank_case1, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
-    rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl, standard_denominator,
+    rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
     substitute_table, verify_case6_specializations,
 )
 from subcount.groups import GroupType, OutOfRange, RankMismatch
-from subcount.polyring import IntPoly, ONE, ZERO
+from subcount.polyring import IntPoly, ONE, ZERO, slot_width
 from subcount.recurrence import MemoTable, count_hironaka, count_stehling, total_count
 
 L = LinForm.of
@@ -43,8 +43,8 @@ class TestLinForm:
 
 class TestTableHelpers:
     def test_standard_denominator(self):
-        # (p - 1)(p^2 - 1) expanded
-        assert standard_denominator(2) == IntPoly((1, -1, -1, 1))
+        # (p - 1)(p^2 - 1) expanded, the denominator of every rank-3 table
+        assert _pm1_product(range(1, 3)) == pm1_product(range(1, 3)) == IntPoly((1, -1, -1, 1))
 
     def test_merge_table_combines_equal_exponents(self):
         table = ((L(1), L(b=1)), (L(2), L(b=1)), (L(-3), L(b=1)))
@@ -55,12 +55,16 @@ class TestTableHelpers:
     def test_substitute_then_assemble(self):
         table = ((L(1), L(b=1)),)
         swapped = substitute_table(table, {"b": L(a1=1)})
-        env = {"a1": 2, "a2": 0, "a3": 0, "b": 7, "m": 0}
-        assert assemble_table(swapped, env) == IntPoly.term(1, 2)
+        assert table_numerator(swapped, env_at((2,), 7)) == IntPoly.term(1, 2)
+
+
+def table_numerator(table, env):
+    """The evaluator's numerator: _terms at env, summed by _poly."""
+    return _poly(_terms(table, env["a1"], env["a2"], env["a3"], env["b"]))
 
 
 def assemble_term_by_term(table, env):
-    """Reference for assemble_table: one monomial added per nonzero term."""
+    """Reference for table_numerator: one monomial added per nonzero term."""
     acc = IntPoly.zero()
     for coeff, exp in table:
         c = coeff.eval(env)
@@ -95,7 +99,7 @@ def assert_perturbation_raises(family, case_no, field, evaluate, t, b):
         numerator = assemble_term_by_term(tables[case_no], env_at(t, b))
     finally:
         tables[case_no] = original
-    _, remainder = numerator.divmod(standard_denominator(len(t) - 1))
+    _, remainder = numerator.divmod(pm1_product(range(1, len(t))))
     assert str(CaseId(family, case_no)) in str(info.value)
     assert info.value.remainder == remainder and not remainder.is_zero
     return numerator
@@ -116,31 +120,30 @@ class TestAssembleTable:
             want = assemble_term_by_term(table, env)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                assemble_table(table, env)
+                table_numerator(table, env)
             assert str(info.value) == str(exc)
         else:
-            assert assemble_table(table, env) == want
+            assert table_numerator(table, env) == want
 
     def test_cancelling_terms_give_zero(self):
         env = {"a1": 2, "a2": 3, "a3": 5, "b": 4}
         table = ((L(1), L(2, b=1)), (L(0, a1=1), L(1)), (L(-1), L(6)),
                  (L(-2), L(1)), (L(0, a1=-1, a3=1), L(0)), (L(-3), L()))
         assert assemble_term_by_term(table, env) == ZERO
-        assert assemble_table(table, env) == ZERO
+        assert table_numerator(table, env) == ZERO
 
     def test_negative_exponent_raises(self):
         env = {"a1": 2, "a2": 3, "a3": 5, "b": 4}
-        table = ((L(1), L(3)), (L(2), L(-1, a1=1, b=-1)))
-        for assemble in (assemble_term_by_term, assemble_table):
-            with pytest.raises(ValueError, match="exponent must be nonnegative, got -3"):
-                assemble(table, env)
-        # 1 + a1 - b = -1: the last exponent the check must refuse
-        table = ((L(1), L(3)), (L(2), L(1, a1=1, b=-1)))
-        for assemble in (assemble_term_by_term, assemble_table):
-            with pytest.raises(ValueError, match="exponent must be nonnegative, got -1$"):
-                assemble(table, env)
+        # 1 + a1 - b = -1 in the second table: the last exponent the check must refuse
+        for const, exponent in ((-1, -3), (1, -1)):
+            table = ((L(1), L(3)), (L(2), L(const, a1=1, b=-1)))
+            message = "exponent must be nonnegative, got %d$" % exponent
+            with pytest.raises(ValueError, match=message):
+                assemble_term_by_term(table, env)
+            with pytest.raises(ValueError, match=message):
+                _terms(table, 2, 3, 5, 4)
         # a zero coefficient leaves its exponent unread, as before
-        assert assemble_table(((L(0), L(-1)),), env) == ZERO
+        assert _terms(((L(0), L(-1)),), 2, 3, 5, 4) == []
 
 
 def pm1(i):
@@ -287,7 +290,7 @@ class TestEvaluator:
         for res, parts, b in catalog_queries():
             table = CATALOGS[res.case.family][res.case.case]
             want = assemble_term_by_term(table, env_at(parts, b)).exact_div(
-                standard_denominator(len(parts) - 1))
+                pm1_product(range(1, len(parts))))
             assert res.value == want, (res.case, parts, b)
             seen.add(res.case)
         assert seen == {CaseId(f, k) for f, tables in CATALOGS.items() for k in tables}
@@ -322,8 +325,8 @@ class TestWideSlots:
         parts = GroupType((10 ** 6, 2 * 10 ** 6, 3 * 10 ** 6))
         assert comb(parts.weight + 3, 3).bit_length() == 65
         res = rank3(parts, 5)
-        numerator = assemble_table(CATALOGS["rank3"][res.case.case], env_at(parts, 5))
-        assert res.value == numerator.exact_div(standard_denominator(2))
+        numerator = table_numerator(CATALOGS["rank3"][res.case.case], env_at(parts, 5))
+        assert res.value == numerator.exact_div(pm1_product(range(1, 3)))
         assert res.value == count_stehling(parts, 5, MemoTable())
 
     def test_gaussian_binomial_with_65_bit_coefficients(self):
@@ -540,6 +543,15 @@ class TestAnyRank:
     def test_rank_one_and_zero(self):
         assert anyrank_case1((4,), 2).value == ONE
         assert anyrank_case1((), 0).value == ONE
+
+    @pytest.mark.parametrize("d", [44, 45, 50])
+    def test_gaussian_binomial_in_two_word_slots(self, d):
+        # the kernel's width is slot_width(C(d, b) << min(b, d - b)); d = 45
+        # is the first d whose middle b needs two words, so unpack_slots joins them
+        widths = {slot_width(comb(d, b) << min(b, d - b)) for b in range(d + 1)}
+        assert max(widths) == (64 if d == 44 else 128)
+        for b in range(d + 1):
+            assert gaussian_binomial(d, b) == count_hironaka((1,) * d, b), (d, b)
 
     def test_gaussian_binomial_matches_the_product_route(self):
         for d in range(14):

@@ -3,10 +3,11 @@ import json
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subcount.polyring import (
-    IntPoly, NonExactDivision, ZeroPolynomial, ZERO, ONE, P, geometric,
+    IntPoly, NonExactDivision, ZeroPolynomial, ZERO, ONE, P, geometric, slot_width,
+    unpack_slots,
 )
 
 
@@ -248,3 +249,33 @@ class TestForeignOperands:
                 op("x", f)
         with pytest.raises(TypeError, match="cannot divide"):
             f.divmod("x")
+
+
+def slot_lists(width):
+    """(width, slots): slots below 2**width, many of them 0, the top one nonzero."""
+    full = 2 ** width - 1
+    low = st.lists(st.one_of(st.just(0), st.integers(0, full)), max_size=6)
+    return st.tuples(st.just(width), low, st.integers(1, full))
+
+
+class TestSlotCodec:
+    @given(st.one_of(*[slot_lists(width) for width in (64, 128, 192)]))
+    @example((64, [0, 5, 0], 2 ** 64 - 1))
+    @example((128, [2 ** 64, 0, 2 ** 64 - 1], 2 ** 128 - 1))
+    @example((192, [0, 2 ** 128 + 1], 1))
+    def test_round_trip(self, case):
+        width, low, top = case
+        slots = low + [top]
+        value = sum(c << (width * i) for i, c in enumerate(slots))
+        assert unpack_slots(value, width) == slots
+
+    @pytest.mark.parametrize("width", [64, 128, 192])
+    def test_zero_has_no_slots(self, width):
+        assert unpack_slots(0, width) == []
+
+    def test_slot_width_boundaries(self):
+        assert slot_width(0) == 64
+        assert slot_width(2 ** 63 - 1) == 64
+        assert slot_width(2 ** 63) == 128
+        assert slot_width(2 ** 127 - 1) == 128
+        assert slot_width(2 ** 127) == 192

@@ -382,8 +382,6 @@ class TestMemoTable:
         memo.put("k", ONE)
         assert memo.get("k") == ONE
         assert len(memo) == 1
-        memo.clear()
-        assert len(memo) == 0
 
     def test_write_once(self):
         memo = MemoTable()
