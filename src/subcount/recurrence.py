@@ -10,6 +10,7 @@ code, which makes them useful as cross-checks on each other.
 """
 
 import operator
+from itertools import zip_longest
 from math import comb
 
 from .groups import GroupType, check_int
@@ -190,10 +191,12 @@ def _stehling(desc, r, width, memo):
     """S(desc, r) packed at width bits a coefficient, for a normal state.
 
     A shrink step lowers r and the weight together, so it keeps the gap and
-    the fold; it can only leave a part above the new r, and then the state
-    is normalised again before its lookup.  Every key the chain stores is
-    normal.  Only desc[1:] is recursed on, and only when its normal state is
-    not in the memo yet, so the stack depth is at most the rank.
+    the fold.  It leaves a part above the new r only when desc[0] == r, and
+    then capping desc at r - 1 gives the shrunk state's normal form at once;
+    otherwise the shrunk state is normal already.  Every key the chain
+    stores is normal.  Only desc[1:] is recursed on, and only when its
+    normal state is not in the memo yet, so the stack depth is at most the
+    rank.
     """
     get, put = memo.get, memo.put
     gap = sum(desc) - r
@@ -204,20 +207,24 @@ def _stehling(desc, r, width, memo):
         if value is not None:
             break
         chain.append((key, gap))
-        k = desc.count(desc[0])
-        top = desc[0] - 1
-        desc = desc[:k - 1] + (top,) + desc[k:] if top else desc[1:]
-        r -= 1
-        if desc[0] > r:
-            desc, r, gap = _normal(desc, r, gap)
+        if desc[0] == r:
+            desc, r, gap = _normal(desc, r - 1, gap + 1)
+        else:
+            k = desc.count(desc[0])
+            top = desc[0] - 1
+            desc = desc[:k - 1] + (top,) + desc[k:] if top else desc[1:]
+            r -= 1
     else:
         value = 1
     for key, gap in reversed(chain):
         _, desc, r = key
         # the second term is S(desc[1:], r), whose gap is gap - desc[0] >= 0;
-        # it is normalised here, so that a child already in the memo (most
-        # are) costs one lookup and no call
-        rest, child_r, _ = _normal(desc[1:], r, gap - desc[0])
+        # it is normalised here (it already is when r is at most that gap,
+        # since desc[1] <= desc[0] <= r), so that a child already in the memo
+        # (most are) costs one lookup and no call
+        rest, child_r, child_gap = desc[1:], r, gap - desc[0]
+        if r > child_gap:
+            rest, child_r, _ = _normal(rest, r, child_gap)
         if not child_r:
             child = 1
         else:
@@ -235,7 +242,12 @@ def total_count(t, memo=None):
         return IntPoly((t.weight + 1,))
     if memo is None:
         memo = _HIRONAKA_MEMO
-    acc = []
-    for value in _hironaka_row(t, memo):
-        _add_at(acc, value.coeffs, 0)
+    # _extend_row mirrors the row, so the total is twice the sum of its first
+    # half, summed one column at a time, plus the middle entry of an even m
+    row = _hironaka_row(t, memo)
+    m = len(row) - 1
+    acc = [2 * sum(column) for column in
+           zip_longest(*[value.coeffs for value in row[:(m + 1) // 2]], fillvalue=0)]
+    if not m % 2:
+        _add_at(acc, row[m // 2].coeffs, 0)
     return IntPoly._trusted(acc)

@@ -213,6 +213,11 @@ REGISTRY = {
         "four-factor product series at truncation {bounds}",
         "verify_g_product mismatches", _truncation,
         lambda: genfun.verify_g_product(SERIES_BOUNDS)[:1]),
+    # _extend_row computes half of each Hironaka row and mirrors it, so both
+    # sides here are one stored IntPoly and this compares it with itself
+    # (count_stehling folds b to min(b, m - b) the same way).  The evidence
+    # of duality independent of the recurrences is CensusResult's check that
+    # every census reads the same backwards.
     "symmetry": Entry(
         "ranks up to {s.max_rank} with parts <= {s.max_part}",
         lambda s: _queries(_types(s.max_rank, s.max_part)),

@@ -133,6 +133,10 @@ class TestAgreement:
         assert all(not r.coeffs or r.coeffs[-1] != 0 for r in got)
 
     @given(wide_types)
+    # total_count sums half of the palindromic row and, for an even weight,
+    # adds the middle entry once; one example of each
+    @example(GroupType((2, 3)))  # weight 5
+    @example(GroupType((3, 4, 5)))  # weight 12
     @settings(max_examples=25, deadline=None)
     def test_total_is_sum_of_stehling(self, t):
         want = sum((count_stehling(t, b, MemoTable()) for b in range(t.weight + 1)), ZERO)
@@ -214,6 +218,16 @@ class TestLargeTypeBudgets:
         assert got == [ONE] * 3
         assert total == IntPoly([10 ** 6 + 1])
         assert peak < 100_000
+
+    def test_rank4_total(self):
+        # weight 1000: the total sums 500 row entries of degree up to ~700
+        # column by column, and adds the middle one
+        t = (100, 200, 300, 400)
+        start = time.monotonic()
+        got = total_count(t, MemoTable())
+        assert time.monotonic() - start < 2.0
+        memo = MemoTable()
+        assert got == sum((count_hironaka(t, b, memo) for b in range(sum(t) + 1)), ZERO)
 
     def test_rank4_table_command(self):
         start = time.monotonic()
