@@ -8,10 +8,10 @@ under its tag, and one evaluator serves them all: it divides the sum of a
 table's terms exactly by the standard denominator prod_{i<rank} (p**i - 1)
 on one packed int.  Both are evaluated at p = 2**W, one divmod divides, and
 the quotient's W-bit slots, read by polyring's slot codec, are its
-coefficients; W is set by a proved bound on those coefficients.  A division
-the packed kernel cannot prove exact means a table is wrong: only then does
-the generic long division run, to give the remainder that ``FormulaBug``
-reports with the case.
+coefficients; W is set by a proved bound on those coefficients.  The kernel
+answers or raises: a division it cannot prove exact means a table is wrong,
+and so does an exact quotient with a negative or over-bound coefficient;
+``FormulaBug`` then names the case with the remainder of the long division.
 ``closed_form`` picks the family that answers a query (t, b), and
 ``CHAMBERS`` its case: the lowest case whose chamber admits b.
 """
@@ -30,12 +30,20 @@ class OrderViolation(ValueError):
 
 
 class FormulaBug(ArithmeticError):
-    """A case table failed to divide exactly; names the offending case."""
+    """A case table gave no count; names the offending case.
+
+    A nonzero remainder means the table did not divide exactly.  A zero
+    remainder means it did, but the quotient is not a count: a coefficient
+    is negative or above the count bound.  Terms past the packed kernel's
+    l1 guard raise too; no right table has them.
+    """
 
     def __init__(self, case, remainder):
-        super().__init__(
-            "closed form %s did not divide exactly (remainder %s)" % (case, remainder)
-        )
+        if remainder:
+            fault = "did not divide exactly (remainder %s)" % (remainder,)
+        else:
+            fault = "divided exactly, but its quotient is not a count"
+        super().__init__("closed form %s %s" % (case, fault))
         self.case = case
         self.remainder = remainder
 
@@ -102,13 +110,6 @@ class LinForm(namedtuple("LinForm", "coeffs const")):
                     coeffs[j] += c * r
                 const += c * repl.const
         return LinForm(tuple(coeffs), const)
-
-    def eval(self, env):
-        total = self.const
-        for name, c in zip(self.VARS, self.coeffs):
-            if c:
-                total += c * env[name]
-        return total
 
 
 L = LinForm.of
@@ -187,8 +188,8 @@ def _poly(terms):
 # signed residue mod X, so N and U * D, equal at X, are equal.  A right
 # table passes: its quotient's coefficients lie in [0, bound], and its few
 # terms, each linear in the parts, sum to far less than 2**63 in absolute
-# value.  Anything else takes the generic route, the long division by the
-# whole denominator, whose remainder FormulaBug reports.
+# value.  Anything else is a wrong table: FormulaBug reports it with the
+# remainder of the long division by the whole denominator.
 
 @lru_cache(maxsize=32)
 def _packed_denominator(width, steps):
@@ -196,42 +197,24 @@ def _packed_denominator(width, steps):
     return prod((1 << (width * i)) - 1 for i in steps)
 
 
-def _quotient(terms, steps, bound):
-    """The coefficients of N / prod(p**i - 1 for i in steps), N the terms' sum.
+def _divide(terms, steps, bound, case):
+    """The terms' sum over prod(p**i - 1 for i in steps), for a quotient in [0, bound].
 
-    steps is a tuple.  None unless the claim above proves the division
-    exact, with every quotient coefficient in [0, bound].
+    steps is a tuple.  Unless the claim above proves the division exact,
+    with every quotient coefficient in [0, bound], FormulaBug names the case.
     """
     width = slot_width(bound << len(steps))
     packed = l1 = 0
     for e, c in terms:
         packed += c << (width * e)
         l1 += abs(c)
-    if l1 >> (width - 1):
-        return None
-    q, r = divmod(packed, _packed_denominator(width, steps))
-    if r or q < 0:
-        return None
-    coeffs = unpack_slots(q, width)
-    if coeffs and max(coeffs) > bound:
-        return None
-    return coeffs
-
-
-def _generic(terms, steps, case):
-    """The long division by the whole denominator; a remainder raises FormulaBug."""
-    quotient, remainder = _poly(terms).divmod(_pm1_product(steps))
-    if remainder:
-        raise FormulaBug(case, remainder)
-    return quotient
-
-
-def _divide(terms, steps, bound, case):
-    """The terms' sum over prod(p**i - 1 for i in steps), for a quotient in [0, bound]."""
-    quotient = _quotient(terms, steps, bound)
-    if quotient is None:
-        return _generic(terms, steps, case)
-    return IntPoly._trusted(quotient)
+    if not l1 >> (width - 1):
+        q, r = divmod(packed, _packed_denominator(width, steps))
+        if not r and q >= 0:
+            coeffs = unpack_slots(q, width)
+            if not coeffs or max(coeffs) <= bound:
+                return IntPoly._trusted(coeffs)
+    raise FormulaBug(case, _poly(terms).divmod(_pm1_product(steps))[1])
 
 
 def _by_chamber(family, parts, b, case_no=None):

@@ -1,14 +1,14 @@
 """Closed-form case tables against the recurrence."""
 import itertools
+from contextlib import contextmanager
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subcount import closedforms
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
-    LinForm, OrderViolation, RANK3_TABLES, _divide, _pm1_product, _poly, _quotient, _terms,
+    LinForm, OrderViolation, RANK3_TABLES, _divide, _pm1_product, _poly, _terms,
     anyrank_case1, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
@@ -29,7 +29,7 @@ def types_of_rank(rank, max_part):
 class TestLinForm:
     def test_eval(self):
         f = L(a1=2, b=-1, const=3)
-        assert f.eval({"a1": 5, "a2": 0, "a3": 0, "b": 4, "m": 0}) == 9
+        assert f.subst({"a1": L(5), "a2": L(0), "a3": L(0), "b": L(4)}) == L(9)
 
     def test_subst_is_simultaneous(self):
         f = L(a1=1, b=1)
@@ -64,12 +64,14 @@ def table_numerator(table, env):
 
 
 def assemble_term_by_term(table, env):
-    """Reference for table_numerator: one monomial added per nonzero term."""
+    """Reference for table_numerator: one monomial added per nonzero term,
+    each form evaluated by substituting constant forms for its variables."""
+    consts = {name: L(v) for name, v in env.items()}
     acc = IntPoly.zero()
     for coeff, exp in table:
-        c = coeff.eval(env)
+        c = coeff.subst(consts).const
         if c:
-            acc = acc + IntPoly.term(c, exp.eval(env))
+            acc = acc + IntPoly.term(c, exp.subst(consts).const)
     return acc
 
 
@@ -79,30 +81,38 @@ def env_at(parts, b):
     return {"a1": a1, "a2": a2, "a3": a3, "b": b}
 
 
+@contextmanager
+def swapped_table(family, case_no, table):
+    """Put table in the catalog as the case, restoring the original on exit."""
+    tables = CATALOGS[family]
+    original = tables[case_no]
+    tables[case_no] = table
+    try:
+        yield
+    finally:
+        tables[case_no] = original
+
+
 def assert_perturbation_raises(family, case_no, field, evaluate, t, b):
     """Add 1 to the coefficient or exponent constant of a table's first term.
 
     evaluate(t, b) must then raise FormulaBug naming the case, with the
-    remainder of the generic long division by the standard denominator.
+    remainder of the long division by the standard denominator.
     """
-    tables = CATALOGS[family]
-    original = tables[case_no]
+    original = CATALOGS[family][case_no]
     coeff, expo = original[0]
     if field == "coefficient":
         coeff = LinForm(coeff.coeffs, coeff.const + 1)
     else:
         expo = LinForm(expo.coeffs, expo.const + 1)
-    tables[case_no] = ((coeff, expo),) + original[1:]
-    try:
-        with pytest.raises(FormulaBug) as info:
+    table = ((coeff, expo),) + original[1:]
+    with swapped_table(family, case_no, table):
+        with pytest.raises(FormulaBug, match="did not divide exactly") as info:
             evaluate(t, b)
-        numerator = assemble_term_by_term(tables[case_no], env_at(t, b))
-    finally:
-        tables[case_no] = original
+    numerator = assemble_term_by_term(table, env_at(t, b))
     _, remainder = numerator.divmod(pm1_product(range(1, len(t))))
     assert str(CaseId(family, case_no)) in str(info.value)
     assert info.value.remainder == remainder and not remainder.is_zero
-    return numerator
 
 
 lin_forms = st.builds(LinForm, st.tuples(*[st.integers(-2, 3)] * 4), st.integers(-3, 9))
@@ -160,9 +170,9 @@ def terms_of(f):
     return list(enumerate(f.coeffs))
 
 
-def packed_quotient(f, steps, bound=BOUND):
-    """The packed kernel on the polynomial f."""
-    return _quotient(terms_of(f), tuple(steps), bound)
+def divide(f, steps, bound=BOUND):
+    """_divide on the polynomial f."""
+    return _divide(terms_of(f), tuple(steps), bound, "test")
 
 
 def pm1_product(steps):
@@ -172,74 +182,67 @@ def pm1_product(steps):
     return den
 
 
+def assert_divides_like_divmod(f, steps, bound=BOUND):
+    """An exact quotient with coefficients in [0, bound] comes back; anything
+    else raises FormulaBug with IntPoly.divmod's remainder."""
+    quotient, remainder = f.divmod(pm1_product(steps))
+    if remainder.is_zero and all(0 <= c <= bound for c in quotient.coeffs):
+        assert divide(f, steps, bound) == quotient
+    else:
+        with pytest.raises(FormulaBug) as info:
+            divide(f, steps, bound)
+        assert info.value.case == "test" and info.value.remainder == remainder
+
+
 class TestDividePm1:
     """Division by products of p**i - 1: the packed kernel against IntPoly.divmod."""
 
     @given(bounded_polys, st.integers(1, 6))
     @example(ZERO, 3)
     def test_exact_multiples(self, g, i):
-        assert IntPoly(packed_quotient(g * pm1(i), (i,))) == g
+        assert divide(g * pm1(i), (i,)) == g
 
-    @given(small_polys, st.integers(1, 6))
-    @example(ZERO, 4)
-    @example(IntPoly((2, 0, -1)), 3)
-    @example(IntPoly((0, 0, 0, 0, 0, 7)), 6)
-    # exact, but the quotient 1 - p has a negative coefficient
-    @example(IntPoly((-1, 1, 1, -1)), 2)
-    # exact, but the quotient 10 is above the bound
-    @example(IntPoly((-10, 0, 0, 10)), 3)
+    @given(small_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    @example(ZERO, [4])
+    @example(IntPoly((2, 0, -1)), [3])
+    @example(IntPoly((0, 0, 0, 0, 0, 7)), [6])
+    # exact, but the quotient 1 - p has a negative coefficient: FormulaBug
+    # with a zero remainder
+    @example(IntPoly((-1, 1, 1, -1)), [2])
+    # exact, but the quotient 10 is above the bound: the same
+    @example(IntPoly((-10, 0, 0, 10)), [3])
     # 2**64 - 1 is p - 1 at p = 2**64: only the l1 check refuses it
-    @example(IntPoly((2 ** 64 - 1,)), 1)
-    def test_remainder_exactly_when_divmod_has_one(self, f, i):
-        quotient, remainder = f.divmod(pm1(i))
-        got = packed_quotient(f, (i,))
-        if not remainder.is_zero:
-            assert got is None
-        elif all(0 <= c <= BOUND for c in quotient.coeffs):
-            assert IntPoly(got) == quotient
-        else:
-            # exact, but not shown to be by the kernel: _divide's generic route
-            assert got is None
-            assert _divide(terms_of(f), (i,), BOUND, "test") == quotient
+    @example(IntPoly((2 ** 64 - 1,)), [1])
+    @settings(max_examples=150)
+    def test_divide_answers_like_divmod(self, f, steps):
+        assert_divides_like_divmod(f, steps)
 
     @pytest.mark.parametrize("i", range(1, 7))
     def test_zero_and_low_degree_numerators(self, i):
-        assert packed_quotient(ZERO, (i,)) == []
+        assert divide(ZERO, (i,)) == ZERO
         for degree in range(i):
-            assert packed_quotient(IntPoly.term(5, degree), (i,)) is None
+            assert_divides_like_divmod(IntPoly.term(5, degree), (i,))
 
     @given(bounded_polys, st.lists(st.integers(1, 6), max_size=4))
     @example(IntPoly((1, 2, 3)), [2, 2, 3, 3])
     @settings(max_examples=60)
     def test_several_factors(self, g, steps):
         den = pm1_product(steps)
-        assert IntPoly(packed_quotient(g * den, steps)) == g
+        assert divide(g * den, steps) == g
         if steps:
             # every p**i - 1 vanishes at p = 1, and g * den + 1 does not
-            assert packed_quotient(g * den + 1, steps) is None
-
-    @given(small_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4))
-    @settings(max_examples=60)
-    def test_divide_answers_like_divmod(self, f, steps):
-        # the kernel when it can, else the generic route with its FormulaBug
-        quotient, remainder = f.divmod(pm1_product(steps))
-        if remainder.is_zero:
-            assert _divide(terms_of(f), tuple(steps), BOUND, "test") == quotient
-        else:
-            with pytest.raises(FormulaBug) as info:
-                _divide(terms_of(f), tuple(steps), BOUND, "test")
-            assert info.value.case == "test" and info.value.remainder == remainder
+            assert_divides_like_divmod(g * den + 1, steps)
 
     def test_slots_of_several_words(self):
         # 2**130 + 5 takes 131 bits, so the slots are three words
         g = IntPoly((2 ** 64, 1, 2 ** 130 + 5))
         for steps in [(1,), (2, 2, 3, 3)]:
-            assert IntPoly(packed_quotient(g * pm1_product(steps), steps, 2 ** 130 + 5)) == g
-            assert packed_quotient(g * pm1_product(steps), steps, 2 ** 130 + 4) is None
+            assert divide(g * pm1_product(steps), steps, 2 ** 130 + 5) == g
+            assert_divides_like_divmod(g * pm1_product(steps), steps, 2 ** 130 + 4)
         # (p - 1)**3 has l1 norm 8, so a quotient digit of 2**62 needs 2**65
         # in a slot of the product: the slots are two words
-        assert packed_quotient(IntPoly((2 ** 62,)) * pm1_product((1, 1, 1)), (1, 1, 1),
-                               2 ** 62) == [2 ** 62]
+        assert divide(IntPoly((2 ** 62,)) * pm1_product((1, 1, 1)), (1, 1, 1),
+                      2 ** 62) == IntPoly((2 ** 62,))
 
 
 def catalog_queries():
@@ -301,15 +304,21 @@ class TestEvaluator:
         ("rank4-partial", 2, "exponent", rank4_partial, GroupType((1, 2, 3, 4)), 2),
     ], ids=["rank2", "rank4-partial"])
     def test_perturbed_table_raises(self, family, case_no, field, evaluate, t, b):
-        numerator = assert_perturbation_raises(family, case_no, field, evaluate, t, b)
-        rank = len(t)
-        assert packed_quotient(numerator, range(1, rank), comb(t.weight + rank, rank)) is None
+        assert_perturbation_raises(family, case_no, field, evaluate, t, b)
 
-    def test_no_right_table_takes_the_generic_route(self, monkeypatch):
-        def refuse(terms, steps, case):
-            raise AssertionError("%s took the generic route" % (case,))
+    @pytest.mark.parametrize("scale", [1, -10 ** 6], ids=["negative", "over-bound"])
+    def test_exactly_dividing_wrong_table_raises(self, scale):
+        # -scale * p**20 (p - 1)(p**2 - 1) added to Case 1 still divides
+        # exactly, but adds -scale * p**20 to the quotient: a negative
+        # coefficient, or one far above the count bound C(12, 3) = 220
+        extra = tuple((L(-scale * c), L(e)) for c, e in ((1, 23), (-1, 22), (-1, 21), (1, 20)))
+        with swapped_table("rank3", 1, CATALOGS["rank3"][1] + extra):
+            with pytest.raises(FormulaBug, match="rank3 Case 1 divided exactly") as info:
+                rank3((2, 3, 4), 1)
+        assert info.value.case == CaseId("rank3", 1)
+        assert info.value.remainder.is_zero
 
-        monkeypatch.setattr(closedforms, "_generic", refuse)
+    def test_no_right_value_raises(self):
         assert all(res.covered for res, _, _ in catalog_queries())
         for m in range(1, 7):
             rank4_mmmm_total(m)
