@@ -202,18 +202,27 @@ class TestDividePm1:
     def test_exact_multiples(self, g, i):
         assert divide(g * pm1(i), (i,)) == g
 
-    @given(small_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4))
-    @example(ZERO, [4])
-    @example(IntPoly((2, 0, -1)), [3])
-    @example(IntPoly((0, 0, 0, 0, 0, 7)), [6])
+    @given(small_polys, st.integers(1, 6))
+    @example(ZERO, 4)
+    @example(IntPoly((2, 0, -1)), 3)
+    @example(IntPoly((0, 0, 0, 0, 0, 7)), 6)
     # exact, but the quotient 1 - p has a negative coefficient: FormulaBug
     # with a zero remainder
-    @example(IntPoly((-1, 1, 1, -1)), [2])
+    @example(IntPoly((-1, 1, 1, -1)), 2)
     # exact, but the quotient 10 is above the bound: the same
-    @example(IntPoly((-10, 0, 0, 10)), [3])
+    @example(IntPoly((-10, 0, 0, 10)), 3)
     # 2**64 - 1 is p - 1 at p = 2**64: only the l1 check refuses it
-    @example(IntPoly((2 ** 64 - 1,)), [1])
-    @settings(max_examples=150)
+    @example(IntPoly((2 ** 64 - 1,)), 1)
+    def test_remainder_exactly_when_divmod_has_one(self, f, i):
+        _, remainder = f.divmod(pm1(i))
+        assert_divides_like_divmod(f, (i,))
+        if not remainder.is_zero:
+            with pytest.raises(FormulaBug, match="did not divide exactly"):
+                divide(f, (i,))
+
+    @given(small_polys, st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    @example(IntPoly((-1, 1, 1, -1)), [2, 1])
+    @settings(max_examples=60)
     def test_divide_answers_like_divmod(self, f, steps):
         assert_divides_like_divmod(f, steps)
 
