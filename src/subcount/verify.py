@@ -4,8 +4,14 @@ An entry declares its family text, its queries at a ``Scale``, a probe that
 compares a candidate route against a reference route on one query, and the
 text of a comparison's query.  ``subcount verify``, ``subcount toth`` and the
 acceptance battery all run these entries, each at its own scale.
+``run_all`` runs the entries side by side in forked workers, one per usable
+CPU beyond the calling process.
 """
 
+import json
+import os
+import sys
+import threading
 import time
 from collections import namedtuple
 from itertools import chain, combinations_with_replacement, groupby
@@ -227,6 +233,11 @@ REGISTRY = {
 }
 
 
+def _family(entry, scale, queries):
+    return entry.family.format(s=scale, n=len(queries), bounds=SERIES_BOUNDS,
+                               oracle=oracle)
+
+
 def run(name, scale):
     """Run one entry up to its first mismatch.
 
@@ -236,8 +247,7 @@ def run(name, scale):
     entry = REGISTRY[name]
     start = time.monotonic()
     queries = entry.queries(scale)
-    family = entry.family.format(s=scale, n=len(queries), bounds=SERIES_BOUNDS,
-                                 oracle=oracle)
+    family = _family(entry, scale, queries)
     records = []
     counterexample = None
     try:
@@ -255,6 +265,97 @@ def run(name, scale):
                   time.monotonic() - start, records)
 
 
+def worker_count():
+    """How many forked workers help ``run_all``: one per usable CPU beyond this
+    process, and none without ``os.fork`` or while other threads are alive,
+    since a fork copies only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus - 1
+
+
+def _take(queue):
+    """Registry indices read one at a time from the queue pipe, until it is empty."""
+    while True:
+        index = os.read(queue, 1)
+        if not index:
+            return
+        yield index[0]
+
+
+def _work(names, scale, queue, reply):
+    """A forked worker: run the checks it takes, send their fields as one JSON
+    document, and exit without returning into the caller's stack."""
+    status = 1
+    try:
+        done = [(i, run(names[i], scale)[:-1]) for i in _take(queue)]
+        with os.fdopen(reply, "w") as out:
+            json.dump(done, out)
+        status = 0
+    except Exception:
+        # the caller sees only the exit status, so the traceback goes to stderr
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
+
+
 def run_all(scale):
-    """Every entry in name order, without the per-comparison records."""
-    return [run(name, scale)._replace(records=None) for name in sorted(REGISTRY)]
+    """Every entry in name order, without the per-comparison records.
+
+    The entries form one work queue, a pipe holding their indices, which this
+    process drains together with ``worker_count()`` forked workers.  Results
+    merge in name order, so the report is the same whichever process ran a
+    check, and each ``seconds`` is that check's own time.  The checks a worker
+    took fail if it dies before reporting.  Every worker is reaped before this
+    returns or raises.
+    """
+    names = sorted(REGISTRY)
+    queue, feed = os.pipe()
+    # one byte an index, written whole before any fork, so no write can block
+    os.write(feed, bytes(range(len(names))))
+    os.close(feed)
+    workers = {}  # pid: read end of the worker's result pipe
+    reports, statuses, results = {}, {}, {}
+    try:
+        for _ in range(min(worker_count(), len(names) - 1)):
+            reply, send = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the workers so far share the queue
+                os.close(reply)
+                os.close(send)
+                break
+            if not pid:
+                _work(names, scale, queue, send)
+            os.close(send)
+            workers[pid] = reply
+        results.update((i, run(names[i], scale)._replace(records=None))
+                       for i in _take(queue))
+        for pid, reply in workers.items():
+            with os.fdopen(reply, closefd=False) as doc:
+                reports[pid] = doc.read()
+    finally:
+        # after a raise, the tasks left are dropped, so each worker stops
+        # after the check it is running
+        for _ in _take(queue):
+            pass
+        os.close(queue)
+        for pid, reply in workers.items():
+            os.close(reply)
+            statuses[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, code in statuses.items():
+        if not code:
+            results.update((i, Result(*fields, None)) for i, fields in json.loads(reports[pid]))
+    cause = "the worker that ran it died before reporting (%s)" % "; ".join(sorted(
+        "exit status %d" % code if code > 0 else "signal %d" % -code
+        for code in statuses.values() if code))
+    for i, name in enumerate(names):
+        if i not in results:
+            entry = REGISTRY[name]
+            results[i] = Result(name, _family(entry, scale, entry.queries(scale)), False,
+                                cause, 0, 0.0, None)
+    return [results[i] for i in range(len(names))]

@@ -1,9 +1,12 @@
 """Command-line front end: exact output, exit codes, determinism."""
 import io
 import json
+import os
+import select
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -397,6 +400,143 @@ class TestVerify:
         calls["census_cost"] = 0
         assert verify.run("census-star", scale).passed
         assert calls == {"census_cost": 45, "star_census_work": 2 * 45}
+
+
+# run_all's worker counts: none, one, two, and more than there are entries
+WORKER_COUNTS = (0, 1, 2, len(verify.REGISTRY) + 2)
+TINY_SCALE = verify.Scale.of(max_rank=2, max_part=2, primes=(2,), oracle_limit=16)
+_TAKE = verify._take
+
+
+def hold_parent(monkeypatch):
+    """Keep the next run_all's own process off the queue until a worker has
+    found it empty or every worker has exited, so the workers run every check
+    they live to finish.  With no worker the process goes straight on."""
+    parent = os.getpid()
+    released, release = os.pipe()
+    held = []
+
+    def take(queue):
+        if os.getpid() != parent:
+            yield from _TAKE(queue)
+            os.write(release, b"x")  # this worker found the queue empty
+            return
+        if not held:  # the first call comes after every fork
+            held.append(True)
+            os.close(release)
+            assert readable_within(released), "no worker finished or exited in time"
+            os.read(released, 1)
+            os.close(released)
+        yield from _TAKE(queue)
+
+    monkeypatch.setattr(verify, "_take", take)
+
+
+def readable_within(fd, seconds=60):
+    """Whether fd can be read without blocking within the given time."""
+    return bool(select.select([fd], [], [], seconds)[0])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    def test_same_report_at_every_worker_count(self, capsys, monkeypatch):
+        # criterion 12's perturbation: rank-3 Case 6 off by one in the
+        # calling process, which the workers inherit
+        coeff, expo = closedforms.RANK3_TABLES[6][0]
+        monkeypatch.setitem(closedforms.RANK3_TABLES, 6, (
+            (closedforms.LinForm(coeff.coeffs, coeff.const + 1), expo),)
+            + closedforms.RANK3_TABLES[6][1:])
+        scale = verify.Scale.of(max_rank=3, max_part=3, primes=(2,), oracle_limit=64)
+        argv = ("verify", "--max-rank", "3", "--max-part", "3", "--primes", "2",
+                "--oracle-limit", "64", "--json")
+        results, outputs = [], []
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(verify, "worker_count", lambda n=workers: n)
+            hold_parent(monkeypatch)
+            results.append([r._replace(seconds=None) for r in verify.run_all(scale)])
+            hold_parent(monkeypatch)
+            outputs.append(run(capsys, *argv)[:2])
+            assert_no_child_left()
+        assert [r.check for r in results[0]] == sorted(verify.REGISTRY)
+        assert all(r == results[0] for r in results[1:])
+        assert all(o == outputs[0] for o in outputs[1:])
+        assert outputs[0][0] == 1
+        # with workers the calling process ran no check, so these names came
+        # back on the workers' pipes
+        failed = {r.check: r.counterexample for r in results[-1] if not r.passed}
+        assert sorted(failed) == ["boundary-agreement", "case6-substitution",
+                                  "closed-rank3", "equal-parts-rank3"], failed
+        assert all("rank3 Case 6" in text for text in failed.values()), failed
+
+    def test_dead_worker_fails_the_checks_it_took(self, capsys, monkeypatch):
+        parent = os.getpid()
+        check = verify.run
+
+        def run_or_die(name, scale):
+            if name == "case6-substitution" and os.getpid() != parent:
+                os._exit(3)
+            return check(name, scale)
+
+        monkeypatch.setattr(verify, "run", run_or_die)
+        monkeypatch.setattr(verify, "worker_count", lambda: 1)
+        hold_parent(monkeypatch)
+        results = verify.run_all(TINY_SCALE)
+        assert_no_child_left()
+        # the one worker took the first three checks and died on the third;
+        # the calling process ran the rest once the worker was gone
+        cause = "the worker that ran it died before reporting (exit status 3)"
+        assert [(r.check, r.passed, r.counterexample) for r in results[:3]] == [
+            (name, False, cause) for name in sorted(verify.REGISTRY)[:3]]
+        assert all(r.passed for r in results[3:])
+        assert [(r.check, r.family) for r in results] == [
+            (name, family) for name, family, _ in TINY_FAMILIES]
+
+        hold_parent(monkeypatch)
+        code, out, _ = run(capsys, "verify")
+        assert_no_child_left()
+        assert code == 1
+        assert "FAIL case6-substitution: %s" % cause in out.splitlines()
+
+    def test_no_worker_outlives_a_raise(self, monkeypatch):
+        parent = os.getpid()
+        go, release = os.pipe()
+        check = verify.run
+
+        def raise_or_wait(name, scale):
+            if os.getpid() == parent:
+                # one release for every check a worker may still take
+                os.write(release, b"x" * len(verify.REGISTRY))
+                raise RuntimeError("raised in the calling process")
+            if readable_within(go):  # a worker holds its check until the raise
+                os.read(go, 1)
+            return check(name, scale)
+
+        monkeypatch.setattr(verify, "run", raise_or_wait)
+        monkeypatch.setattr(verify, "worker_count", lambda: 2)
+        try:
+            with pytest.raises(RuntimeError, match="raised in the calling process"):
+                verify.run_all(TINY_SCALE)
+        finally:
+            os.close(go)
+            os.close(release)
+        assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        assert verify.worker_count() == len(os.sched_getaffinity(0)) - 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verify.worker_count() == 0
+        finally:
+            stop.set()
+            thread.join()
+        monkeypatch.delattr(os, "fork")
+        assert verify.worker_count() == 0
 
 
 class TestToth:

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subcount import recurrence
+from subcount import recurrence, verify
 from subcount.closedforms import rank2, rank3_mmm, rank4_mmmm_total
 from subcount.groups import GroupType
 from subcount.polyring import IntPoly, ONE, ZERO, geometric
@@ -100,11 +100,25 @@ class TestAgreement:
     def test_hironaka_equals_stehling(self, t, b):
         assert count_hironaka(t, b) == count_stehling(t, b)
 
-    @given(small_types, st.integers(0, 16))
-    @settings(max_examples=120, deadline=None)
-    def test_symmetry(self, t, b):
-        b = b % (t.weight + 1)
-        assert count_hironaka(t, b) == count_hironaka(t, t.weight - b)
+    def test_broken_mirror_fails_recurrence_pair(self, monkeypatch):
+        # _extend_row computes each row up to m // 2 and mirrors the rest, so
+        # a row compared with its own mirror cannot fail; Stehling is the
+        # independent route.  The smallest query past m / 2 that a row of two
+        # or more parts answers is (1, 1) at b = 2.
+        extend = recurrence._extend_row
+
+        def broken(head_row, a):
+            row = extend(head_row, a)
+            half = (len(row) - 1) // 2
+            return row[:half + 1] + tuple(value + ONE for value in row[half + 1:])
+
+        monkeypatch.setattr(recurrence, "_extend_row", broken)
+        # a fresh default memo: every row is built broken, and none outlives the test
+        monkeypatch.setattr(recurrence, "_HIRONAKA_MEMO", MemoTable())
+        result = verify.run("recurrence-pair", verify.Scale.of())
+        assert not result.passed
+        assert result.counterexample == (
+            "count_hironaka vs count_stehling at type (1, 1) b=2: got 2, want 1")
 
     @given(small_types, st.integers(0, 16))
     @settings(max_examples=120, deadline=None)
