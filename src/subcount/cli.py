@@ -181,11 +181,12 @@ def build_parser():
     tbl.add_argument("--json", action="store_true")
     tbl.set_defaults(fn=cmd_table, positive=())
 
+    scale = verify.Scale.of()
     v = sub.add_parser("verify", help="run the cross-check battery")
-    v.add_argument("--max-rank", type=int, default=4)
-    v.add_argument("--max-part", type=int, default=5)
-    v.add_argument("--primes", default="2,3")
-    v.add_argument("--oracle-limit", type=int, default=256)
+    v.add_argument("--max-rank", type=int, default=scale.max_rank)
+    v.add_argument("--max-part", type=int, default=scale.max_part)
+    v.add_argument("--primes", default=",".join(map(str, scale.primes)))
+    v.add_argument("--oracle-limit", type=int, default=scale.oracle_limit)
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify, positive=("max_rank", "max_part", "oracle_limit"))
 

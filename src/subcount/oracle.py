@@ -100,12 +100,12 @@ def _check_prime(p):
             raise ValueError("%d is not prime" % p)
 
 
-def _admit(t, prime, limit):
-    """The canonical type of t, once prime is checked and p**weight <= limit.
+def _admit(census, t, prime, limit):
+    """The canonical type of t, once the census of that name admits it.
 
-    The order grows one factor at a time and stops at the first one past
-    the limit, so a huge weight builds no huge int, and the GroupTooLarge
-    raised names p^m.
+    It checks the prime, then p**weight against limit, then the census's own
+    price against its own cap.  The order grows one factor at a time and stops
+    past the limit, so a huge weight builds no huge int; GroupTooLarge names p^m.
     """
     t = GroupType(t)
     _check_prime(prime)
@@ -118,7 +118,26 @@ def _admit(t, prime, limit):
     if order > limit:
         raise GroupTooLarge(
             "group order %d^%d exceeds the enumeration limit %d" % (prime, m, limit))
+    # built at each call, so a patched price or cap is the one charged
+    price, cap, refusal = {
+        "subgroup_census": (census_cost, CENSUS_COST_LIMIT,
+                            "census of %s at p=%d would cost %d (subgroups times order)"),
+        "star_matrix_census": (star_census_work, STAR_COST_LIMIT,
+                               "matrix census of %s at p=%d may make %d or more search calls"),
+    }[census]
+    cost = price(t, prime)
+    if cost > cap:
+        raise CensusTooCostly((refusal + ", over the limit %d") % (t, prime, cost, cap))
     return t
+
+
+def admits(census, t, prime, limit=DEFAULT_LIMIT):
+    """Whether the census of that name runs on (t, prime) at limit; a bad prime raises."""
+    try:
+        _admit(census, t, prime, limit)
+    except GroupTooLarge:
+        return False
+    return True
 
 
 def census_cost(t, prime):
@@ -129,12 +148,7 @@ def census_cost(t, prime):
 
 def subgroup_census(t, prime, limit=DEFAULT_LIMIT):
     """Enumerate all subgroups by index-p extension and bucket by order."""
-    t = _admit(t, prime, limit)
-    cost = census_cost(t, prime)
-    if cost > CENSUS_COST_LIMIT:
-        raise CensusTooCostly(
-            "census of %s at p=%d would cost %d (subgroups times order), "
-            "over the limit %d" % (t, prime, cost, CENSUS_COST_LIMIT))
+    t = _admit("subgroup_census", t, prime, limit)
     return CensusResult(prime, t, _cover_census([prime ** a for a in t], prime))
 
 
@@ -266,12 +280,7 @@ def star_matrix_census(t, prime, limit=DEFAULT_LIMIT):
     from the minors below it by one row expansion; see _fillings.  There is
     no rank cap: the order limit and the work bound decide admission.
     """
-    t = _admit(t, prime, limit)
-    work = star_census_work(t, prime)
-    if work > STAR_COST_LIMIT:
-        raise CensusTooCostly(
-            "matrix census of %s at p=%d may make %d or more search calls, "
-            "over the limit %d" % (t, prime, work, STAR_COST_LIMIT))
+    t = _admit("star_matrix_census", t, prime, limit)
     k = t.rank
     m = t.weight
     power = [prime ** e for e in range(m + 1)]

@@ -7,6 +7,8 @@ The module also holds the packed-slot codec that the packed routes share.
 
 import sys
 
+from .groups import check_int
+
 
 class ZeroPolynomial(ValueError):
     """Raised when an operation needs a nonzero polynomial."""
@@ -27,8 +29,7 @@ class NonExactDivision(ArithmeticError):
 
 def _check_exponent(name, k):
     """Raise unless k is an int, not a bool, and k >= 0; name goes in the message."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError("%s must be an int, got %r" % (name, k))
+    check_int(name, k)
     if k < 0:
         raise ValueError("%s must be nonnegative, got %d" % (name, k))
 

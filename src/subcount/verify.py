@@ -73,17 +73,6 @@ def _at_type(t, b):
     return "type %s b=%d" % (GroupType(t), b)
 
 
-def _census_pairs(s):
-    return [(t, p) for p in s.primes for t in _types(s.max_rank, s.max_part)
-            if p ** sum(t) <= s.oracle_limit
-            and oracle.census_cost(t, p) <= oracle.CENSUS_COST_LIMIT]
-
-
-def _matrix_pairs(s):
-    return [(t, p) for t, p in _census_pairs(s)
-            if oracle.star_census_work(t, p) <= oracle.STAR_COST_LIMIT]
-
-
 def _closed(family, queries, *routes, partial=False):
     """Closed forms vs count_hironaka; a partial catalog skips uncovered queries."""
     def probe(s, t, b):
@@ -94,10 +83,14 @@ def _closed(family, queries, *routes, partial=False):
     return Entry(family, queries, probe, _at_type)
 
 
-def _census(family, route, queries, census):
-    """A census at p vs the recurrence polynomial evaluated at p."""
+def _census(family, route, census):
+    """The census of that name on oracle, at p, vs the recurrence polynomial at p."""
+    def queries(s):
+        return [(t, p) for p in s.primes for t in _types(s.max_rank, s.max_part)
+                if oracle.admits(census, t, p, s.oracle_limit)]
+
     def probe(s, t, p):
-        for b, got in enumerate(census(s, t, p).counts):
+        for b, got in enumerate(getattr(oracle, census)(t, p, limit=s.oracle_limit).counts):
             yield Comparison(route, (t, p, b), got, count_hironaka(t, b).eval_at(p))
     return Entry(family, queries, probe, lambda t, p, b: "type %s p=%d b=%d" % (
         GroupType(t), p, b))
@@ -153,14 +146,10 @@ REGISTRY = {
             str(CaseId("rank3", k)) for k in closedforms.verify_case6_specializations()]),
     "census-closure": _census(
         "cover census on {n} (type, prime) pairs with order <= {s.oracle_limit}, "
-        "cost <= {oracle.CENSUS_COST_LIMIT}",
-        "cover census", _census_pairs,
-        lambda s, t, p: oracle.subgroup_census(t, p, limit=s.oracle_limit)),
+        "cost <= {oracle.CENSUS_COST_LIMIT}", "cover census", "subgroup_census"),
     "census-star": _census(
         "matrix census vs recurrence at p on {n} pairs with order <= {s.oracle_limit}, "
-        "work <= {oracle.STAR_COST_LIMIT}",
-        "matrix census", _matrix_pairs,
-        lambda s, t, p: oracle.star_matrix_census(t, p, limit=s.oracle_limit)),
+        "work <= {oracle.STAR_COST_LIMIT}", "matrix census", "star_matrix_census"),
     "chain-totals": _totals(
         "chains 1 <= w <= x <= y <= z <= {s.chain_max}", "rank4_total_ccl",
         lambda s: [(c, c) for c in combinations_with_replacement(

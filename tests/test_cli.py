@@ -9,6 +9,8 @@ import sys
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,10 @@ TINY_FAMILIES = [
     ("series-staircase", "four-factor product series at truncation (8, 8, 8)", 1),
     ("symmetry", "ranks up to 2 with parts <= 2", 17),
 ]
+
+
+class Admitted(Exception):
+    """Raised in place of a census's enumeration, after its admission step."""
 
 
 def run(capsys, *argv):
@@ -394,12 +400,67 @@ class TestVerify:
         for name in calls:
             monkeypatch.setattr(oracle, name, counted(name))
         scale = verify.Scale.of(oracle_limit=128)
-        # one pricing builds the family, the census's own guard is the other
+        # one pricing builds the family, the census's own guard is the other,
+        # and neither census is charged the other's price
         assert verify.run("census-closure", scale).passed
         assert calls == {"census_cost": 2 * 45, "star_census_work": 0}
         calls["census_cost"] = 0
         assert verify.run("census-star", scale).passed
-        assert calls == {"census_cost": 45, "star_census_work": 2 * 45}
+        assert calls == {"census_cost": 0, "star_census_work": 2 * 45}
+
+    def test_defaults_are_those_of_scale_of(self):
+        args = cli.build_parser().parse_args(["verify"])
+        cli._check_options(args)
+        assert verify.Scale.of(args.max_rank, args.max_part, args.primes,
+                               args.oracle_limit) == verify.Scale.of()
+
+    def test_matrix_census_lists_pairs_the_cover_census_refuses(self):
+        # (3, 3, 3, 3) at p=2 has order 4096: the cover census prices it at
+        # 177,516,544, over its cap, the matrix census at 23,224 search calls
+        scale = verify.Scale.of(oracle_limit=4096)
+        pair = (GroupType((3, 3, 3, 3)), 2)
+        assert pair in verify.REGISTRY["census-star"].queries(scale)
+        assert pair not in verify.REGISTRY["census-closure"].queries(scale)
+
+    @pytest.mark.parametrize("limit", (16, 128, 256, 4096))
+    def test_census_families_are_what_each_census_admits(self, monkeypatch, limit):
+        # each census stops at its enumeration, which it reaches only once it
+        # has admitted the pair, so every pair is asked of the census itself
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(oracle, "_cover_census", admitted)
+        monkeypatch.setattr(oracle, "_fillings", admitted)
+        scale = verify.Scale.of(max_rank=4, max_part=5, primes=(2, 3), oracle_limit=limit)
+        pairs = [(t, p) for p in (2, 3) for rank in range(1, 5)
+                 for t in combinations_with_replacement(range(1, 6), rank)]
+        for name, census in (("census-closure", oracle.subgroup_census),
+                             ("census-star", oracle.star_matrix_census)):
+            runs = []
+            for t, p in pairs:
+                try:
+                    census(t, p, limit=limit)
+                except oracle.GroupTooLarge:
+                    continue
+                except Admitted:
+                    pass
+                runs.append((t, p))
+            assert runs, (name, limit)
+            assert verify.REGISTRY[name].queries(scale) == runs, (name, limit)
+
+    def test_census_is_looked_up_when_it_runs(self, monkeypatch):
+        # a census replaced on oracle, as a tracer replaces it, is the one run
+        exact = oracle.star_matrix_census
+
+        def perturbed(t, p, limit):
+            counts = list(exact(t, p, limit=limit).counts)
+            if (t, p) == ((1, 1), 2):
+                counts[1] += 1
+            return SimpleNamespace(counts=counts)
+
+        monkeypatch.setattr(oracle, "star_matrix_census", perturbed)
+        result = verify.run("census-star", verify.Scale.of())
+        assert result.counterexample == "matrix census at type (1, 1) p=2 b=1: got 4, want 3"
 
 
 # run_all's worker counts: none, one, two, and more than there are entries
@@ -725,3 +786,14 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "p + 1 = 3\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # run_all forks with os.fork alone; multiprocessing or concurrent.futures
+    # would add about 2.5 MB to the resident set of every command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, subcount.cli; print(sorted(set(sys.modules) & "
+         "{'multiprocessing', 'concurrent.futures'}))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -261,6 +261,53 @@ class TestStarCensus:
             for i0 in (0, 1) for i1 in (0, 1) for i2 in (0, 1))
 
 
+class TestAdmission:
+    # each census's refusals: the prime is checked first, then the order,
+    # then that census's own price against its own cap
+    REFUSALS = [
+        ("subgroup_census", (1,) * 12, 2, 4096, CensusTooCostly,
+         "census of (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1) at p=2 would cost "
+         "1999571766980608 (subgroups times order), over the limit 20000000"),
+        ("star_matrix_census", (6, 6, 6, 6), 2, 2 ** 24, CensusTooCostly,
+         "matrix census of (6, 6, 6, 6) at p=2 may make 17096140 or more search "
+         "calls, over the limit 10000000"),
+        ("subgroup_census", (1,) * 13, 2, 4096, GroupTooLarge,
+         "group order 2^13 exceeds the enumeration limit 4096"),
+        ("star_matrix_census", (1000,) * 4, 2, 4096, GroupTooLarge,
+         "group order 2^4000 exceeds the enumeration limit 4096"),
+        ("subgroup_census", (1000000,), 4, 4096, ValueError, "4 is not prime"),
+        ("star_matrix_census", (1000000,), 4, 4096, ValueError, "4 is not prime"),
+    ]
+
+    @pytest.mark.parametrize("name, t, p, limit, error, text", REFUSALS, ids=[
+        "cover-price", "matrix-price", "cover-order", "matrix-order", "cover-prime",
+        "matrix-prime"])
+    def test_refusal_text_and_order(self, name, t, p, limit, error, text):
+        with pytest.raises(error) as info:
+            getattr(oracle, name)(t, p, limit=limit)
+        assert type(info.value) is error
+        assert str(info.value) == text
+        if issubclass(error, GroupTooLarge):
+            assert not oracle.admits(name, t, p, limit)
+        else:
+            # a bad prime is no refusal: the predicate raises it as well
+            with pytest.raises(error, match=text):
+                oracle.admits(name, t, p, limit)
+
+    def test_each_census_is_priced_by_its_own_rule(self):
+        # (1^8) at p=2 is over the cover census's cap and within the matrix
+        # census's, so only the matrix census admits it
+        t = (1,) * 8
+        assert census_cost(t, 2) > CENSUS_COST_LIMIT
+        assert not oracle.admits("subgroup_census", t, 2, 256)
+        assert oracle.admits("star_matrix_census", t, 2, 256)
+        assert oracle.admits("subgroup_census", (1, 1), 2)
+
+    def test_a_census_is_named(self):
+        with pytest.raises(KeyError):
+            oracle.admits("cover census", (1, 1), 2)
+
+
 class TestPrimeCheck:
     def test_matches_trial_division(self):
         def trial(n):
