@@ -58,6 +58,13 @@ def cmd_count(args):
     if args.method == "oracle":
         try:
             census = oracle.subgroup_census(t, prime, limit=args.oracle_limit)
+        except oracle.CensusTooCostly as exc:
+            # the matrix census has its own price; when it refuses too, the
+            # cover census's refusal is the one reported
+            try:
+                census = oracle.star_matrix_census(t, prime, limit=args.oracle_limit)
+            except oracle.GroupTooLarge:
+                raise UsageError(exc) from None
         except oracle.GroupTooLarge as exc:
             raise UsageError(exc) from None
         value = census.counts[b] if 0 <= b <= t.weight else 0

@@ -579,10 +579,10 @@ CHAMBERS = {
 # family tag -> highest case number; the any-rank product formula has no table
 CASE_RANGES = {**{family: len(tables) for family, tables in CATALOGS.items()},
                "anyrank": 2}
-# built once, so the evaluator makes no CaseId or miss per query: each
-# family's CaseIds in case order, and the one miss
-_CASE_IDS = {family: tuple(CaseId(family, k) for k in range(1, len(tables) + 1))
-             for family, tables in CATALOGS.items()}
+# built once, so no evaluator makes a CaseId or a miss per query: each
+# family's CaseIds in case order, the any-rank product's too, and the one miss
+_CASE_IDS = {family: tuple(CaseId(family, k) for k in range(1, cases + 1))
+             for family, cases in CASE_RANGES.items()}
 _MISS = FormulaResult.miss()
 
 
@@ -686,11 +686,11 @@ def anyrank_case1(t, b):
     _check_b(b, m)
     a1 = t[0] if t else 0
     if b <= a1:
-        case = CaseId("anyrank", 1)
+        case = _CASE_IDS["anyrank"][0]
     elif b >= m - a1:
-        case, b = CaseId("anyrank", 2), m - b
+        case, b = _CASE_IDS["anyrank"][1], m - b
     else:
-        return FormulaResult.miss()
+        return _MISS
     d = max(t.rank, 1)
     return FormulaResult(gaussian_binomial(b + d - 1, d - 1), case, True)
 

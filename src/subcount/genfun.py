@@ -12,6 +12,7 @@ polyring.slot_width, is common to both.
 """
 
 from itertools import product
+from math import prod
 
 from .groups import GroupType
 from .polyring import P, IntPoly, geometric, slot_width
@@ -169,9 +170,9 @@ class MultiSeries:
 # every p-coefficient of every cell of s; it bounds each coefficient and is
 # submultiplicative under the truncated product, which only drops terms.  In
 # the box, a factor f = c0 + g with c0 = +-1 has 1/f = c0 * sum_j (-c0*g)**j
-# over j <= N = B1 + B2 + B3, because every monomial of g has total degree
-# at least 1.  The one-pass division yields the unique q with q*f = acc in
-# the box, which is that truncated product, so |acc/f| <= |acc| * S_f with
+# over j <= N = B1 + B2 + B3, because the one term g has total degree at
+# least 1.  The one-pass division yields the unique q with q*f = acc in the
+# box, which is that truncated product, so |acc/f| <= |acc| * S_f with
 # S_f = sum_{j <= N} |g|**j.  By induction over the factors, every
 # coefficient of every partial quotient is at most |num| * prod_f S_f.  The
 # paper's factors each have one term of coefficient +-1 or +-p, so |g| = 1
@@ -183,17 +184,15 @@ class MultiSeries:
 def expand_rational(numerator, factors):
     """numerator / product(factors), expanded under the numerator's bounds.
 
-    Each factor must have constant term +1 or -1, so a factor may be given
-    as either (1 - c*x) or (c*x - 1); a -1 constant flips the sign of the
-    whole expansion.  Each factor f = c0 + sum f[m]*x**m divides the series
-    in one pass over the box in lexicographic order, by
-    s[e] = c0*acc[e] - sum c0*f[m]*s[e - m]; a cell e - m with a negative
-    exponent is zero.  The box is a flat list indexed by
-    (e1*(B2 + 1) + e2)*(B3 + 1) + ey, so each monomial m is an index offset
-    d.  The pass goes a line of fixed (e1, e2) at a time: a term with m1 or
-    m2 nonzero reads an earlier line, which is final, so it is subtracted
-    from the whole line at once; a term in y alone reads this line, so those
-    terms are then applied cell by cell, in order.
+    Each factor is c0 + c*x1**m1 * x2**m2 * y**my, the shape of the paper's
+    series: c0 is +1 or -1, so (1 - c*x) and (c*x - 1) both serve, and m1 or
+    m2 is positive.  Any other factor raises before any work is done.  As
+    f = c0 * (1 + c0*c*x**m), the product of the constants signs the whole
+    expansion, and each factor divides the series in one pass over the box by
+    s[e] = acc[e] - c0*c*s[e - m]; a cell e - m with a negative exponent is
+    zero.  The box is a flat list indexed by (e1*(B2 + 1) + e2)*(B3 + 1) + ey,
+    so the term is one index offset d back to an earlier line of fixed
+    (e1, e2), which is final: the quotient overwrites acc a line at a time.
     """
     bounds = numerator.bounds
     bound = numerator._norm()
@@ -203,6 +202,10 @@ def expand_rational(numerator, factors):
             raise NonUnitConstant(
                 "constant term must be 1 or -1, got %s" % (factor.coeff(0, 0, 0),))
         numerator._check_compatible(factor)
+        m1, m2, my = factor.monomials[-1]  # the term, or the constant if it truncated
+        if len(factor._data) > 2 or my and not (m1 or m2):
+            raise ValueError("factor %s is not +-1 and one term in x1 or x2"
+                             % (factor.monomials,))
         norm = factor._norm() - 1
         bound *= sum(norm ** j for j in range(sum(bounds) + 1))
     width = slot_width(bound)
@@ -211,37 +214,21 @@ def expand_rational(numerator, factors):
     s2 = (b2 + 1) * sy
     cells = list(product(range(b1 + 1), range(b2 + 1), range(sy)))
     acc = [0] * len(cells)
+    sign = prod(factor._data[(0, 0, 0)] for factor in factors)
     for (e1, e2, ey), value in numerator._at(width).items():
-        acc[e1 * s2 + e2 * sy + ey] = value
+        acc[e1 * s2 + e2 * sy + ey] = sign * value
     for factor in factors:
         packed = factor._at(width)
-        c0 = packed[(0, 0, 0)]
-        cross = [(m1 * s2 + m2 * sy + my, m1, m2, my, c0 * c)
-                 for (m1, m2, my), c in packed.items() if m1 or m2]
-        local = [(my, c0 * c) for (m1, m2, my), c in packed.items()
-                 if not (m1 or m2) and my]
-        # the quotient overwrites acc: a line is read as acc before any of
-        # it is written, and every earlier cell it reads is already final
-        quotient = acc if c0 == 1 else [-value for value in acc]
-        i = 0  # the first cell of line (e1, e2)
-        for e1 in range(b1 + 1):
-            for e2 in range(b2 + 1):
-                for d, m1, m2, my, c in cross:
-                    if m1 <= e1 and m2 <= e2:
-                        lo, hi = i + my, i + sy
-                        known = quotient[lo - d:hi - d]
-                        if any(known):
-                            quotient[lo:hi] = [
-                                a - c * b for a, b in zip(quotient[lo:hi], known)]
-                if local:
-                    for j in range(i, i + sy):
-                        total = quotient[j]
-                        for my, c in local:
-                            if my <= j - i:
-                                total -= c * quotient[j - my]
-                        quotient[j] = total
-                i += sy
-        acc = quotient
+        m1, m2, my = term = max(packed)  # the constant, if the term truncated
+        if m1 or m2:
+            d = m1 * s2 + m2 * sy + my
+            c = packed[(0, 0, 0)] * packed[term]
+            for e1 in range(m1, b1 + 1):
+                for i in range(e1 * s2 + m2 * sy, (e1 + 1) * s2, sy):
+                    lo, hi = i + my, i + sy
+                    known = acc[lo - d:hi - d]
+                    if any(known):
+                        acc[lo:hi] = [a - c * b for a, b in zip(acc[lo:hi], known)]
     return MultiSeries._packed(
         bounds, {cells[i]: value for i, value in enumerate(acc) if value}, bound)
 

@@ -121,16 +121,7 @@ class IntPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] -= c
-        else:
-            out = [-c for c in b]
-            for i, c in enumerate(a):
-                out[i] += c
-        return IntPoly._trusted(out)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)

@@ -15,10 +15,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount import cli, closedforms, genfun, oracle, verify
+from subcount import cli, closedforms, genfun, oracle, recurrence, verify
 from subcount.cli import main
 from subcount.groups import GroupType
-from subcount.polyring import ONE
+from subcount.polyring import ONE, IntPoly
 from subcount.recurrence import count_hironaka
 
 SMALL_BATTERY = ("verify", "--max-rank", "3", "--max-part", "2",
@@ -148,6 +148,33 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "over the limit" in err
+
+    def test_oracle_falls_back_to_the_matrix_census(self, capsys, monkeypatch):
+        answered = []
+        exact = oracle.star_matrix_census
+
+        def star(t, p, limit):
+            answered.append((t, p, limit))
+            return exact(t, p, limit=limit)
+
+        monkeypatch.setattr(oracle, "star_matrix_census", star)
+        # the cover census answers what it admits, and no matrix census runs
+        code, out, _ = run(capsys, "count", "--type", "3,1,2", "--b", "3",
+                           "--method", "oracle", "--prime", "2")
+        assert (code, out, answered) == (0, "27\n", [])
+        # (3, 3, 3, 3) at p=2 is inside the order limit, but over the cover
+        # census's price: the matrix census answers
+        with pytest.raises(oracle.CensusTooCostly):
+            oracle.subgroup_census((3, 3, 3, 3), 2)
+        code, out, _ = run(capsys, "count", "--type", "3,3,3,3", "--b", "6",
+                           "--method", "oracle", "--prime", "2")
+        assert (code, out) == (0, "14275\n")
+        assert answered == [(GroupType((3, 3, 3, 3)), 2, oracle.DEFAULT_LIMIT)]
+        # when the matrix census refuses too, the cover census's refusal is shown
+        code, out, err = run(capsys, "count", "--type", ",".join(["1"] * 12),
+                             "--b", "1", "--method", "oracle", "--prime", "2")
+        assert (code, out) == (2, "")
+        assert "(subgroups times order), over the limit" in err
 
     def test_bad_type_literal(self, capsys):
         code, _, err = run(capsys, "count", "--type", "1,x", "--b", "0")
@@ -461,6 +488,127 @@ class TestVerify:
         monkeypatch.setattr(oracle, "star_matrix_census", perturbed)
         result = verify.run("census-star", verify.Scale.of())
         assert result.counterexample == "matrix census at type (1, 1) p=2 b=1: got 4, want 3"
+
+
+def _shifted(module, name, case=None):
+    """A perturbation: every covered value module.name gives is one more, or
+    only those of the named case."""
+    def perturb(monkeypatch):
+        exact = getattr(module, name)
+
+        def perturbed(*args):
+            value = exact(*args)
+            if not isinstance(value, closedforms.FormulaResult):
+                return value + ONE
+            if value.covered and case in (None, str(value.case)):
+                return value._replace(value=value.value + ONE)
+            return value
+        monkeypatch.setattr(module, name, perturbed)
+    return perturb
+
+
+def _case6_off_by_one(monkeypatch):
+    # criterion 12's perturbation: rank-3 Case 6's first constant off by one.
+    # Evaluated, the table no longer divides exactly, so the families that
+    # evaluate it crash with a FormulaBug naming the case, not a query; only
+    # the substitution check compares the table itself.
+    coeff, expo = closedforms.RANK3_TABLES[6][0]
+    monkeypatch.setitem(closedforms.RANK3_TABLES, 6, (
+        (closedforms.LinForm(coeff.coeffs, coeff.const + 1), expo),)
+        + closedforms.RANK3_TABLES[6][1:])
+
+
+def _census_inner_counts_raised(census):
+    """A perturbation: each count of the census but the first and last is one
+    more, so the counts still read the same backwards."""
+    def perturb(monkeypatch):
+        exact = getattr(oracle, census)
+
+        def perturbed(t, p, limit):
+            counts = exact(t, p, limit=limit).counts
+            return SimpleNamespace(
+                counts=counts[:1] + tuple(c + 1 for c in counts[1:-1]) + counts[-1:])
+        monkeypatch.setattr(oracle, census, perturbed)
+    return perturb
+
+
+def _rows_changed(change):
+    """A perturbation: change(row) in place of every row _extend_row builds,
+    on a fresh memo, so no row outlives the test."""
+    def perturb(monkeypatch):
+        extend = recurrence._extend_row
+        monkeypatch.setattr(recurrence, "_extend_row",
+                            lambda head_row, a: change(extend(head_row, a)))
+        monkeypatch.setattr(recurrence, "_HIRONAKA_MEMO", recurrence.MemoTable())
+    return perturb
+
+
+def _mirror_broken(row):
+    half = (len(row) - 1) // 2
+    return row[:half + 1] + tuple(value + ONE for value in row[half + 1:])
+
+
+def _computed_half_raised(row):
+    # _extend_row computes b <= m // 2 and mirrors the rest; here the computed
+    # half is one more before the same mirror
+    m = len(row) - 1
+    top = [value + ONE for value in row[:m // 2 + 1]]
+    return tuple(top + top[:m - m // 2][::-1])
+
+
+def _numerator_raised(side):
+    """A perturbation: the series' numerator has one more in its constant."""
+    def perturb(monkeypatch):
+        numerator, factors = genfun._SERIES[side]
+        monkeypatch.setitem(genfun._SERIES, side, (
+            {**numerator, (0, 0, 0): numerator.get((0, 0, 0), 0) + 1}, factors))
+    return perturb
+
+
+# one perturbation of the route each verify family checks
+PERTURBATIONS = {
+    "any-rank-product": _shifted(closedforms, "anyrank_case1"),
+    "boundary-agreement": _shifted(closedforms, "rank3_with_case", "rank3 Case 6"),
+    "case6-substitution": _case6_off_by_one,
+    "census-closure": _census_inner_counts_raised("subgroup_census"),
+    "census-star": _census_inner_counts_raised("star_matrix_census"),
+    "chain-totals": _shifted(closedforms, "rank4_total_ccl"),
+    "closed-rank2": _shifted(closedforms, "rank2"),
+    "closed-rank3": _shifted(closedforms, "rank3"),
+    "closed-rank4-intervals": _shifted(closedforms, "rank4_partial"),
+    "elementary-abelian": _shifted(closedforms, "gaussian_binomial"),
+    "equal-parts-rank3": _shifted(closedforms, "rank3_mmm"),
+    "equal-parts-rank4": _shifted(closedforms, "rank4_mmmm_b"),
+    "equal-parts-rank4-total": _shifted(closedforms, "rank4_mmmm_total"),
+    "nonnegative-coefficients": _rows_changed(
+        lambda row: tuple(value - IntPoly((0, 1)) for value in row)),
+    "recurrence-pair": _rows_changed(_mirror_broken),
+    "series-full": _numerator_raised("full"),
+    "series-split": _numerator_raised("strict_piece"),
+    "series-staircase": _numerator_raised("staircase"),
+    "symmetry": _rows_changed(_computed_half_raised),
+}
+# the families a perturbation of their route cannot fail: symmetry compares
+# each Hironaka row with its own mirror, so both sides read one stored row
+PASSES_PERTURBED = {"symmetry"}
+
+
+@pytest.mark.parametrize("name", sorted(verify.REGISTRY))
+def test_every_family_fails_a_perturbation(monkeypatch, name):
+    assert name in PERTURBATIONS, "no perturbation fails %s" % name
+    PERTURBATIONS[name](monkeypatch)
+    result = verify.run(name, verify.Scale.of(max_rank=3, max_part=3, primes=(2,),
+                                              oracle_limit=64))
+    if name in PASSES_PERTURBED:
+        # the perturbation is live: Hironaka now disagrees with Stehling
+        assert recurrence.count_hironaka((1, 1), 0) != recurrence.count_stehling((1, 1), 0)
+        assert result.passed, result.counterexample
+        return
+    assert not result.passed
+    # a mismatch on a query, not a crash or an empty family
+    c = result.records[-1]
+    assert result.counterexample == "%s at %s: got %s, want %s" % (
+        c.route, verify.REGISTRY[name].where(*c.query), c.got, c.want)
 
 
 # run_all's worker counts: none, one, two, and more than there are entries

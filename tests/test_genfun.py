@@ -1,7 +1,6 @@
 """Truncated trivariate series and the generating-function checks."""
 import re
 from itertools import product
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,8 +173,10 @@ def rational_case(draw):
     numerator = draw(st.dictionaries(st.sampled_from(cells), poly, max_size=4))
     factors = []
     for _ in range(draw(st.integers(1, 3))):
-        monomials = st.tuples(*(st.integers(0, 3) for _ in range(3))).filter(any)
-        factor = draw(st.dictionaries(monomials, poly, min_size=1, max_size=3))
+        # the paper's shape: one term, in x1 or x2 and maybe y
+        monomials = st.tuples(*(st.integers(0, 3) for _ in range(3))).filter(
+            lambda m: m[0] or m[1])
+        factor = {draw(monomials): draw(poly)}
         factor[(0, 0, 0)] = draw(st.sampled_from((ONE, MINUS_ONE)))
         factors.append(factor)
     return bounds, numerator, factors
@@ -201,20 +202,30 @@ def test_expansion_matches_intpoly_reference(case):
 
 def test_expansion_in_128_bit_slots():
     # first a numerator past 2**63, then one whose quotient grows past it:
-    # 2**58 / (1 - 4*x1 - 4*x2) has 2**58 * C(6, 3) * 4**6 at x1**3 * x2**3
+    # 2**58 / ((1 - 4*x1)(1 - 4*x2)) has 2**58 * 4**3 * 4**3 = 2**70 at x1**3 * x2**3
     cases = [
         ((3, 2, 2),
          {(0, 0, 0): IntPoly((1 << 70, -(1 << 66))), (1, 0, 1): IntPoly((0, 5))},
-         [{(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE, (0, 1, 0): IntPoly((0, -3))},
+         [{(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE},
+          {(0, 0, 0): ONE, (0, 1, 0): IntPoly((0, -3))},
           {(0, 0, 0): MINUS_ONE, (1, 1, 1): IntPoly((2, 1))}]),
         ((3, 3, 0),
          {(0, 0, 0): IntPoly((1 << 58,))},
-         [{(0, 0, 0): ONE, (1, 0, 0): IntPoly((-4,)), (0, 1, 0): IntPoly((-4,))}]),
+         [{(0, 0, 0): ONE, (1, 0, 0): IntPoly((-4,))},
+          {(0, 0, 0): ONE, (0, 1, 0): IntPoly((-4,))}]),
     ]
     for bounds, numerator, factors in cases:
         got = assert_matches_reference(bounds, numerator, factors)
         assert got._width == 128
         assert max(abs(c) for m in got.monomials for c in got.coeff(*m).coeffs) > 1 << 63
+
+
+@pytest.mark.parametrize("name", sorted(genfun._FACTORS))
+def test_paper_factors_with_either_sign(name):
+    factor = genfun._FACTORS[name]
+    numerator = {(0, 0, 0): ONE, (1, 0, 1): IntPoly((0, 2))}
+    for sign in (1, -1):
+        assert_matches_reference(B, numerator, [{m: sign * c for m, c in factor.items()}])
 
 
 class TestExpandRational:
@@ -245,13 +256,19 @@ class TestExpandRational:
                 want += IntPoly.term(1, e2 - 1)
             assert s.coeff(e1, e2, ey) == want, (e1, e2, ey)
 
-    def test_non_binomial_factor(self):
-        # 1 / (1 - x1 - x2) = sum C(i + j, i) x1^i x2^j
-        fac = series((0, 0, 0, ONE), (1, 0, 0, MINUS_ONE), (0, 1, 0, MINUS_ONE))
-        s = expand_rational(series((0, 0, 0, ONE)), [fac])
-        for i, j, k in product(range(4), repeat=3):
-            want = IntPoly((comb(i + j, i),)) if k == 0 else ZERO
-            assert s.coeff(i, j, k) == want, (i, j, k)
+    @pytest.mark.parametrize("terms", [
+        # two terms besides the constant: 1 - x1 - x2
+        ((0, 0, 0, ONE), (1, 0, 0, MINUS_ONE), (0, 1, 0, MINUS_ONE)),
+        # a term in y alone: 1 - y
+        ((0, 0, 0, ONE), (0, 0, 1, MINUS_ONE)),
+    ], ids=["two-terms", "y-alone"])
+    def test_factor_of_another_shape_rejected(self, terms):
+        # a good factor first does not let a bad one through
+        good = series((0, 0, 0, ONE), (1, 0, 0, MINUS_ONE))
+        with pytest.raises(ValueError, match="one term in x1 or x2") as caught:
+            expand_rational(series((0, 0, 0, ONE)), [good, series(*terms)])
+        assert caught.type is ValueError
+        assert str(sorted(t[:3] for t in terms)) in str(caught.value)
 
     def test_minus_one_constant_factor(self):
         # 1 / ((1 - x1)(p*x2 - 1)) = -sum x1^i p^j x2^j

@@ -23,6 +23,10 @@ COMMANDS = {
         "count", "--type", "3,1,2", "--b", "3", "--method", "recurrence"],
     "count-oracle-prime2.txt": [
         "count", "--type", "3,1,2", "--b", "3", "--method", "oracle", "--prime", "2"],
+    # the cover census refuses on price, so the matrix census answers
+    "count-oracle-matrix.json": [
+        "count", "--type", "3,3,3,3", "--b", "6", "--method", "oracle", "--prime", "2",
+        "--json"],
     # one query for each branch of closedforms.closed_form
     "count-rank2.txt": ["count", "--type", "2,3", "--b", "4"],
     "count-mmmm.txt": ["count", "--type", "2,2,2,2", "--b", "3"],
