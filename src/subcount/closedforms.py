@@ -4,11 +4,12 @@ Each closed form is stored as a table of (coefficient, exponent) pairs, both
 integer-linear expressions in a1, a2, a3 (the three smallest parts, 0 past
 the rank) and the order index b; on the equal-part types (m, m, m) and
 (m, m, m, m) the tables read a1 = m.  ``CATALOGS`` holds each family's tables
-under its tag, and one evaluator serves them all: it divides the sum of a
-table's terms exactly by the standard denominator prod_{i<rank} (p**i - 1)
-on one packed int.  Both are evaluated at p = 2**W, one divmod divides, and
-the quotient's W-bit slots, read by polyring's slot codec, are its
-coefficients; W is set by a proved bound on those coefficients.  The kernel
+under its tag, and one evaluator serves them all: in one pass over a table's
+terms, compiled into flat int rows on the table's first use, it sums them on
+one packed int and divides the sum exactly by the standard denominator
+prod_{i<rank} (p**i - 1).  Both are evaluated at p = 2**W, one divmod
+divides, and the quotient's W-bit slots, read by polyring's slot codec, are
+its coefficients; W is set by a proved bound on those coefficients.  The kernel
 answers or raises: a division it cannot prove exact means a table is wrong,
 and so does an exact quotient with a negative or over-bound coefficient;
 ``FormulaBug`` then names the case with the remainder of the long division.
@@ -197,6 +198,22 @@ def _packed_denominator(width, steps):
     return prod((1 << (width * i)) - 1 for i in steps)
 
 
+def _quotient(packed, l1, width, steps, bound):
+    """U with N = U * D by the claim above, from N(X) and ||N||_1; None if unproved."""
+    if not l1 >> (width - 1):
+        q, r = divmod(packed, _packed_denominator(width, steps))
+        if not r and q >= 0:
+            coeffs = unpack_slots(q, width)
+            if not coeffs or max(coeffs) <= bound:
+                return IntPoly._trusted(coeffs)
+    return None
+
+
+def _formula_bug(case, terms, steps):
+    """FormulaBug for the (e, c) terms, with the long division's remainder."""
+    return FormulaBug(case, _poly(terms).divmod(_pm1_product(steps))[1])
+
+
 def _divide(terms, steps, bound, case):
     """The terms' sum over prod(p**i - 1 for i in steps), for a quotient in [0, bound].
 
@@ -208,13 +225,72 @@ def _divide(terms, steps, bound, case):
     for e, c in terms:
         packed += c << (width * e)
         l1 += abs(c)
-    if not l1 >> (width - 1):
-        q, r = divmod(packed, _packed_denominator(width, steps))
-        if not r and q >= 0:
-            coeffs = unpack_slots(q, width)
-            if not coeffs or max(coeffs) <= bound:
-                return IntPoly._trusted(coeffs)
-    raise FormulaBug(case, _poly(terms).divmod(_pm1_product(steps))[1])
+    value = _quotient(packed, l1, width, steps, bound)
+    if value is None:
+        raise _formula_bug(case, terms, steps)
+    return value
+
+
+# id(table) -> (table, its compiled rows): holding the table keeps its id
+# from being reused, so a table swapped into CATALOGS is compiled afresh.
+# The catalogs hold fewer than 64 table objects; past that it starts over.
+_COMPILED = {}
+
+
+def _compiled(table):
+    """A table's terms as flat int rows, compiled on its first use.
+
+    Returns (fixed, l1, linear): fixed holds a row (c, e, e1, e2, e3, eb)
+    for each term whose coefficient is a nonzero constant c, l1 is the sum
+    of their |c|, and linear holds a row (c, c1, c2, c3, cb, e, e1, e2, e3,
+    eb) for each term whose coefficient reads a variable.  A term whose
+    coefficient is the constant 0 has no row.
+    """
+    entry = _COMPILED.get(id(table))
+    if entry is None:
+        if len(_COMPILED) >= 64:
+            _COMPILED.clear()
+        fixed, linear = [], []
+        for (cs, c), (es, e) in table:
+            if any(cs):
+                linear.append((c, *cs, e, *es))
+            elif c:
+                fixed.append((c, e, *es))
+        entry = _COMPILED[id(table)] = (table, (
+            tuple(fixed), sum(abs(row[0]) for row in fixed), tuple(linear)))
+    return entry[1]
+
+
+def _evaluate(table, a1, a2, a3, b, steps, bound, case):
+    """_divide(_terms(table, a1, a2, a3, b), steps, bound, case) in one pass.
+
+    Each nonzero term is added into the packed numerator and its l1 norm as
+    it is read; the terms are listed only to raise.
+    """
+    fixed, l1, linear = _compiled(table)
+    width = slot_width(bound << len(steps))
+    packed = 0
+    for c, c1, c2, c3, cb, e, e1, e2, e3, eb in linear:
+        c += c1 * a1 + c2 * a2 + c3 * a3 + cb * b
+        if c:
+            e += e1 * a1 + e2 * a2 + e3 * a3 + eb * b
+            if e < 0:
+                _terms(table, a1, a2, a3, b)  # raises, naming the first such term
+            packed += c << (width * e)
+            l1 += abs(c)
+    for c, e, e1, e2, e3, eb in fixed:
+        e += e1 * a1 + e2 * a2 + e3 * a3 + eb * b
+        if e < 0:
+            _terms(table, a1, a2, a3, b)  # raises, as above
+        packed += c << (width * e)
+    value = _quotient(packed, l1, width, steps, bound)
+    if value is None:
+        raise _formula_bug(case, _terms(table, a1, a2, a3, b), steps)
+    return value
+
+
+# rank -> the steps of its standard denominator prod_{i<rank} (p**i - 1)
+_STEPS = tuple(tuple(range(1, rank)) for rank in range(5))
 
 
 def _by_chamber(family, parts, b, case_no=None):
@@ -236,8 +312,8 @@ def _by_chamber(family, parts, b, case_no=None):
         if not row[case_no - 1]:
             raise OutOfRange("%s does not admit type %s b=%d" % (case, parts, b))
     rank = len(parts)
-    terms = _terms(CATALOGS[family][case.case], a1, a2, a3, b)
-    value = _divide(terms, tuple(range(1, rank)), comb(m + rank, rank), case)
+    value = _evaluate(CATALOGS[family][case.case], a1, a2, a3, b, _STEPS[rank],
+                      comb(m + rank, rank), case)
     return FormulaResult(value, case, True)
 
 

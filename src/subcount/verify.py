@@ -2,8 +2,9 @@
 
 An entry declares its family text, its queries at a ``Scale``, a probe that
 compares a candidate route against a reference route on one query, and the
-text of a comparison's query.  ``subcount verify``, ``subcount toth`` and the
-acceptance battery all run these entries, each at its own scale.
+text of a comparison's query (and of a probed query, where the two differ).
+``subcount verify``, ``subcount toth`` and the acceptance battery all run
+these entries, each at its own scale.
 ``run_all`` runs the entries side by side in forked workers, one per usable
 CPU beyond the calling process.
 """
@@ -14,7 +15,7 @@ import sys
 import threading
 import time
 from collections import namedtuple
-from itertools import chain, combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby
 
 from . import closedforms, genfun, oracle
 from .closedforms import CaseId, rank3_applicable_cases
@@ -26,8 +27,10 @@ SERIES_BOUNDS = (8, 8, 8)
 # route: the candidate's case or name; query: the arguments of the entry's where
 Comparison = namedtuple("Comparison", "route query got want")
 # family: a format string over the Scale s, the query count n, the series bounds
-# and the oracle module; queries(s): a list; probe(s, *query): its comparisons
-Entry = namedtuple("Entry", "family queries probe where")
+# and the oracle module; queries(s): a list; probe(s, *query): its comparisons;
+# where(*comparison.query) and probed(*query): their texts, probed None where a
+# probed query has a comparison's shape
+Entry = namedtuple("Entry", "family queries probe where probed", defaults=(None,))
 Result = namedtuple("Result", "check family passed counterexample compared seconds "
                                "records")
 
@@ -93,7 +96,7 @@ def _census(family, route, census):
         for b, got in enumerate(getattr(oracle, census)(t, p, limit=s.oracle_limit).counts):
             yield Comparison(route, (t, p, b), got, count_hironaka(t, b).eval_at(p))
     return Entry(family, queries, probe, lambda t, p, b: "type %s p=%d b=%d" % (
-        GroupType(t), p, b))
+        GroupType(t), p, b), lambda t, p: "type %s p=%d" % (GroupType(t), p))
 
 
 def _totals(family, route, queries, closed, leading, label):
@@ -107,7 +110,8 @@ def _totals(family, route, queries, closed, leading, label):
                          got.leading_coeff(), coeff)
         yield Comparison("negative coefficients of " + route, (key,),
                          [c for c in got.coeffs if c < 0], [])
-    return Entry(family, queries, probe, lambda key: label % (key,))
+    return Entry(family, queries, probe, lambda key: label % (key,),
+                 lambda key, parts: label % (key,))
 
 
 def _library(family, route, where, verifier):
@@ -227,27 +231,35 @@ def _family(entry, scale, queries):
                                oracle=oracle)
 
 
+def _compare(entry, scale, queries, records):
+    """Probe the queries in order, recording each comparison; the text of the
+    first mismatch or crash, or None."""
+    for q in queries:
+        try:
+            for c in entry.probe(scale, *q):
+                records.append(c)
+                if c.got != c.want:
+                    return "%s at %s: got %s, want %s" % (
+                        c.route, entry.where(*c.query), c.got, c.want)
+        except Exception as exc:
+            return "%s: %s at %s" % (type(exc).__name__, exc,
+                                     (entry.probed or entry.where)(*q))
+    return None
+
+
 def run(name, scale):
     """Run one entry up to its first mismatch.
 
     The queries are built once, and the family text counts them.  A crash in a
-    probe is a failure, not an abort, and so is an entry that compared nothing.
+    probe is a failure that names the probed query, not an abort, and so is an
+    entry that compared nothing.
     """
     entry = REGISTRY[name]
     start = time.monotonic()
     queries = entry.queries(scale)
     family = _family(entry, scale, queries)
     records = []
-    counterexample = None
-    try:
-        for c in chain.from_iterable(entry.probe(scale, *q) for q in queries):
-            records.append(c)
-            if c.got != c.want:
-                counterexample = "%s at %s: got %s, want %s" % (
-                    c.route, entry.where(*c.query), c.got, c.want)
-                break
-    except Exception as exc:
-        counterexample = "%s: %s" % (type(exc).__name__, exc)
+    counterexample = _compare(entry, scale, queries, records)
     if counterexample is None and not records:
         counterexample = "no comparison made: the family is empty"
     return Result(name, family, counterexample is None, counterexample, len(records),

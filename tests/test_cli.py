@@ -365,7 +365,7 @@ class TestVerify:
         record = {c["check"]: c for c in json.loads(out)["checks"]}["closed-rank2"]
         assert record["passed"] is False
         assert record["family"] == "rank-2 types with parts <= 2, every order index"
-        assert record["counterexample"] == "ZeroDivisionError: broken route"
+        assert record["counterexample"] == "ZeroDivisionError: broken route at type (1, 1) b=0"
 
     def test_counterexample_names_the_disagreeing_route(self, monkeypatch):
         general = closedforms.rank3
@@ -510,8 +510,8 @@ def _shifted(module, name, case=None):
 def _case6_off_by_one(monkeypatch):
     # criterion 12's perturbation: rank-3 Case 6's first constant off by one.
     # Evaluated, the table no longer divides exactly, so the families that
-    # evaluate it crash with a FormulaBug naming the case, not a query; only
-    # the substitution check compares the table itself.
+    # evaluate it crash with a FormulaBug, not a mismatch; only the
+    # substitution check compares the table itself.
     coeff, expo = closedforms.RANK3_TABLES[6][0]
     monkeypatch.setitem(closedforms.RANK3_TABLES, 6, (
         (closedforms.LinForm(coeff.coeffs, coeff.const + 1), expo),)
@@ -588,6 +588,7 @@ PERTURBATIONS = {
     "series-staircase": _numerator_raised("staircase"),
     "symmetry": _rows_changed(_computed_half_raised),
 }
+PERTURBED_SCALE = verify.Scale.of(max_rank=3, max_part=3, primes=(2,), oracle_limit=64)
 # the families a perturbation of their route cannot fail: symmetry compares
 # each Hironaka row with its own mirror, so both sides read one stored row
 PASSES_PERTURBED = {"symmetry"}
@@ -597,8 +598,7 @@ PASSES_PERTURBED = {"symmetry"}
 def test_every_family_fails_a_perturbation(monkeypatch, name):
     assert name in PERTURBATIONS, "no perturbation fails %s" % name
     PERTURBATIONS[name](monkeypatch)
-    result = verify.run(name, verify.Scale.of(max_rank=3, max_part=3, primes=(2,),
-                                              oracle_limit=64))
+    result = verify.run(name, PERTURBED_SCALE)
     if name in PASSES_PERTURBED:
         # the perturbation is live: Hironaka now disagrees with Stehling
         assert recurrence.count_hironaka((1, 1), 0) != recurrence.count_stehling((1, 1), 0)
@@ -609,6 +609,36 @@ def test_every_family_fails_a_perturbation(monkeypatch, name):
     c = result.records[-1]
     assert result.counterexample == "%s at %s: got %s, want %s" % (
         c.route, verify.REGISTRY[name].where(*c.query), c.got, c.want)
+
+
+@pytest.mark.parametrize("name", ["closed-rank3", "boundary-agreement", "equal-parts-rank3"])
+def test_crash_names_the_probed_query(monkeypatch, name):
+    # the first query Case 6 answers at this scale is (1, 1, 1) at b = 2
+    _case6_off_by_one(monkeypatch)
+    result = verify.run(name, PERTURBED_SCALE)
+    assert result.counterexample == (
+        "FormulaBug: closed form rank3 Case 6 did not divide exactly "
+        "(remainder 2*p^2 + p - 2) at type (1, 1, 1) b=2")
+
+
+@pytest.mark.parametrize("name, module, route, query", [
+    ("census-closure", oracle, "subgroup_census", "type (1) p=2"),
+    ("census-star", oracle, "star_matrix_census", "type (1) p=2"),
+    ("chain-totals", closedforms, "rank4_total_ccl", "chain (1, 1, 1, 1)"),
+    ("equal-parts-rank4-total", closedforms, "rank4_mmmm_total", "m=1"),
+    ("case6-substitution", closedforms, "verify_case6_specializations",
+     "cases 1-5 and 7-10"),
+    ("series-full", genfun, "verify_F2", "truncation (8, 8, 8)"),
+])
+def test_crash_names_a_query_of_the_probed_shape(monkeypatch, name, module, route, query):
+    # these entries probe a query of another shape than the one they compare:
+    # a census (type, p) for each b, a total (key, parts) for its key alone
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("broken route")
+
+    monkeypatch.setattr(module, route, broken)
+    result = verify.run(name, PERTURBED_SCALE)
+    assert result.counterexample == "ZeroDivisionError: broken route at " + query
 
 
 # run_all's worker counts: none, one, two, and more than there are entries

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from subcount.closedforms import (
     CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
-    LinForm, OrderViolation, RANK3_TABLES, _divide, _pm1_product, _poly, _terms,
+    LinForm, OrderViolation, RANK3_TABLES, _divide, _evaluate, _pm1_product, _poly, _terms,
     anyrank_case1, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
@@ -93,19 +93,26 @@ def swapped_table(family, case_no, table):
         tables[case_no] = original
 
 
-def assert_perturbation_raises(family, case_no, field, evaluate, t, b):
-    """Add 1 to the coefficient or exponent constant of a table's first term.
-
-    evaluate(t, b) must then raise FormulaBug naming the case, with the
-    remainder of the long division by the standard denominator.
-    """
-    original = CATALOGS[family][case_no]
-    coeff, expo = original[0]
+def perturbed(table, field):
+    """The table with 1 added to the coefficient or exponent constant of its first term."""
+    coeff, expo = table[0]
     if field == "coefficient":
         coeff = LinForm(coeff.coeffs, coeff.const + 1)
     else:
         expo = LinForm(expo.coeffs, expo.const + 1)
-    table = ((coeff, expo),) + original[1:]
+    return ((coeff, expo),) + table[1:]
+
+
+def assert_perturbation_raises(family, case_no, field, evaluate, t, b):
+    """Add 1 to the coefficient or exponent constant of a table's first term.
+
+    evaluate(t, b) answers once with the table as it is, so any table the
+    evaluator keeps is kept; with the perturbed table swapped in, it must
+    then raise FormulaBug naming the case, with the remainder of the long
+    division by the standard denominator.
+    """
+    assert evaluate(t, b).case == CaseId(family, case_no)
+    table = perturbed(CATALOGS[family][case_no], field)
     with swapped_table(family, case_no, table):
         with pytest.raises(FormulaBug, match="did not divide exactly") as info:
             evaluate(t, b)
@@ -254,6 +261,77 @@ class TestDividePm1:
                       2 ** 62) == IntPoly((2 ** 62,))
 
 
+def two_pass(table, env, steps, bound):
+    """The evaluator's route before it took one pass: _terms lists the terms,
+    then _divide walks them again."""
+    terms = _terms(table, env["a1"], env["a2"], env["a3"], env["b"])
+    return _divide(terms, steps, bound, "test")
+
+
+def one_pass(table, env, steps, bound):
+    return _evaluate(table, env["a1"], env["a2"], env["a3"], env["b"], steps, bound, "test")
+
+
+def outcome(route, *args):
+    """What a route gives: its value, or what it raised with the fields that name it."""
+    try:
+        return route(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    except FormulaBug as exc:
+        return FormulaBug, str(exc), exc.case, exc.remainder
+
+
+steps_lists = st.sampled_from([(), (1,), (1, 2), (1, 2, 3)])
+
+
+@st.composite
+def exact_tables(draw):
+    """(table, env, steps): a table whose terms at env sum to g * prod(p**i - 1)
+    for a g with coefficients in [0, BOUND], each form reading a variable."""
+    env, steps = draw(envs), draw(steps_lists)
+    numerator = draw(bounded_polys) * pm1_product(steps)
+    table = []
+    for e, c in enumerate(numerator.coeffs):
+        # c and e, written as k * v + (c - k * env[v]) for a drawn variable v
+        k, j = draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+        v, w = draw(st.sampled_from(LinForm.VARS)), draw(st.sampled_from(LinForm.VARS))
+        table.append((L(c - k * env[v], **{v: k}), L(e - j * env[w], **{w: j})))
+    return tuple(draw(st.permutations(table))), env, steps
+
+
+class TestOnePass:
+    """_evaluate against the two-pass route it replaced."""
+
+    @given(term_tables, envs, steps_lists, st.integers(0, 40))
+    # exponent -1 in the second term: both raise the same ValueError
+    @example(((L(1), L(3)), (L(2), L(1, a1=1, b=-1))), {"a1": 2, "a2": 3, "a3": 5, "b": 4},
+             (1, 2), BOUND)
+    # a right table at a query it answers
+    @example(RANK3_TABLES[6], {"a1": 1, "a2": 1, "a3": 1, "b": 2}, (1, 2), comb(6, 3))
+    # 2**64 - 1 is p - 1 at p = 2**64: only the l1 guard refuses it, whether
+    # the coefficient is a constant or reads a variable
+    @example(((L(2 ** 64 - 1), L()),), {"a1": 1, "a2": 0, "a3": 0, "b": 0}, (1,), BOUND)
+    @example(((L(2 ** 64 - 2, a1=1), L()),), {"a1": 1, "a2": 0, "a3": 0, "b": 0}, (1,), BOUND)
+    # a zero coefficient leaves its negative exponent unread
+    @example(((L(0), L(-1)), (L(1), L(1)), (L(-1), L())), {"a1": 1, "a2": 0, "a3": 0, "b": 0},
+             (1,), BOUND)
+    # the first term with a negative exponent is named, whichever the evaluator reads first
+    @example(((L(1), L(-2)), (L(0, a1=1), L(-1))), {"a1": 2, "a2": 3, "a3": 5, "b": 4},
+             (1,), BOUND)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_pass_route(self, table, env, steps, bound):
+        assert outcome(one_pass, table, env, steps, bound) == outcome(
+            two_pass, table, env, steps, bound)
+
+    @given(exact_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_tables_divide_on_both_routes(self, drawn):
+        table, env, steps = drawn
+        want = assemble_term_by_term(table, env).exact_div(pm1_product(steps))
+        assert one_pass(table, env, steps, BOUND) == two_pass(table, env, steps, BOUND) == want
+
+
 def catalog_queries():
     """(result, ascending parts, b) for every catalog case each closed form
     evaluates, at parts <= 6 and equal parts m <= 6; rank3 gives every case
@@ -274,6 +352,31 @@ def catalog_queries():
             yield rank3_mmm(m, b), (m,) * 3, b
         for b in range(4 * m + 1):
             yield rank4_mmmm_b(m, b), (m,) * 4, b
+
+
+ALL_CASES = [CaseId(family, k) for family, tables in CATALOGS.items() for k in sorted(tables)]
+# the cases whose tables are one object, each way round
+ALIASES = [(CaseId(*x), CaseId(*y)) for pair in [
+    (("rank3-mmm", 1), ("rank3", 1)), (("rank4-mmmm", 1), ("rank4-partial", 1)),
+    (("rank3", 4), ("rank3", 3))] for x, y in (pair, pair[::-1])]
+# family -> evaluate(t, b, case_no): the family's closed form at (t, b), which
+# answers with case case_no when it is the lowest case admitting b
+EVALUATORS = {
+    "rank2": lambda t, b, k: rank2(t, b),
+    "rank3": rank3_with_case,
+    "rank3-mmm": lambda t, b, k: rank3_mmm(t[0], b),
+    "rank4-partial": lambda t, b, k: rank4_partial(t, b),
+    "rank4-mmmm": lambda t, b, k: rank4_mmmm_b(t[0], b),
+}
+
+
+def case_id(case):
+    return "%s-%d" % case
+
+
+def first_query(case):
+    """The first (ascending parts, b) of catalog_queries that case answers."""
+    return next((parts, b) for res, parts, b in catalog_queries() if res.case == case)
 
 
 class TestChambers:
@@ -311,9 +414,37 @@ class TestEvaluator:
         ("rank2", 1, "coefficient", rank2, GroupType((2, 3)), 1),
         # an exponent moved by one still divides by p - 1, but not by p**2 - 1
         ("rank4-partial", 2, "exponent", rank4_partial, GroupType((1, 2, 3, 4)), 2),
-    ], ids=["rank2", "rank4-partial"])
+        ("rank3-mmm", 3, "exponent", lambda t, b: rank3_mmm(t[0], b),
+         GroupType((2, 2, 2)), 5),
+        ("rank4-mmmm", 3, "exponent", lambda t, b: rank4_mmmm_b(t[0], b),
+         GroupType((2, 2, 2, 2)), 5),
+    ], ids=["rank2", "rank4-partial", "rank3-mmm", "rank4-mmmm"])
     def test_perturbed_table_raises(self, family, case_no, field, evaluate, t, b):
         assert_perturbation_raises(family, case_no, field, evaluate, t, b)
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_table_swapped_after_first_use_is_evaluated(self, case):
+        parts, b = first_query(case)
+        assert_perturbation_raises(case.family, case.case, "coefficient",
+                                   lambda t, b: EVALUATORS[case.family](t, b, case.case),
+                                   GroupType(parts), b)
+
+    @pytest.mark.parametrize("case, partner", ALIASES, ids=case_id)
+    def test_swapping_an_aliased_table_leaves_its_partner(self, case, partner):
+        # the two cases hold one table object; the catalog entry of one is swapped
+        assert CATALOGS[case.family][case.case] is CATALOGS[partner.family][partner.case]
+        parts, b = first_query(case)
+        partner_parts, partner_b = first_query(partner)
+
+        def evaluate(c, parts, b):
+            return EVALUATORS[c.family](GroupType(parts), b, c.case)
+
+        want = evaluate(partner, partner_parts, partner_b)
+        table = perturbed(CATALOGS[case.family][case.case], "coefficient")
+        with swapped_table(case.family, case.case, table):
+            with pytest.raises(FormulaBug, match=str(case)):
+                evaluate(case, parts, b)
+            assert evaluate(partner, partner_parts, partner_b) == want
 
     @pytest.mark.parametrize("scale", [1, -10 ** 6], ids=["negative", "over-bound"])
     def test_exactly_dividing_wrong_table_raises(self, scale):
