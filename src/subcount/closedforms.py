@@ -1,18 +1,20 @@
 """Closed-form subgroup counts and their case catalogs.
 
-Each closed form is stored as a table of (coefficient, exponent) pairs, both
-integer-linear expressions in a1, a2, a3 (the three smallest parts, 0 past
-the rank) and the order index b; on the equal-part types (m, m, m) and
-(m, m, m, m) the tables read a1 = m.  ``CATALOGS`` holds each family's tables
+Each closed form is stored as a ``CaseTable``, the tuple of its (coefficient,
+exponent) pairs, both integer-linear expressions in a1, a2, a3 (the three
+smallest parts, 0 past the rank) and the order index b; on the equal-part
+types (m, m, m) and (m, m, m, m) the tables read a1 = m.  A table is compiled
+into flat int rows when it is built; a table put into ``CATALOGS`` at run
+time is built as a ``CaseTable`` too.  ``CATALOGS`` holds each family's tables
 under its tag, and one evaluator serves them all: in one pass over a table's
-terms, compiled into flat int rows on the table's first use, it sums them on
-one packed int and divides the sum exactly by the standard denominator
-prod_{i<rank} (p**i - 1).  Both are evaluated at p = 2**W, one divmod
-divides, and the quotient's W-bit slots, read by polyring's slot codec, are
-its coefficients; W is set by a proved bound on those coefficients.  The kernel
-answers or raises: a division it cannot prove exact means a table is wrong,
-and so does an exact quotient with a negative or over-bound coefficient;
-``FormulaBug`` then names the case with the remainder of the long division.
+rows it sums its terms on one packed int and divides the sum exactly by the
+standard denominator prod_{i<rank} (p**i - 1).  Both are evaluated at p =
+2**W, one divmod divides, and the quotient's W-bit slots, read by polyring's
+slot codec, are its coefficients; W is set by a proved bound on those
+coefficients.  The kernel answers or raises: a division it cannot prove exact
+means a table is wrong, and so does an exact quotient with a negative or
+over-bound coefficient; ``FormulaBug`` then names the case with the remainder
+of the long division.
 ``closed_form`` picks the family that answers a query (t, b), and
 ``CHAMBERS`` its case: the lowest case whose chamber admits b.
 """
@@ -116,6 +118,29 @@ class LinForm(namedtuple("LinForm", "coeffs const")):
 L = LinForm.of
 
 
+class CaseTable(tuple):
+    """A case table: the tuple of its (coefficient, exponent) terms, compiled when built.
+
+    It iterates, indexes and compares as that tuple.  fixed holds a row
+    (c, e, e1, e2, e3, eb) for each term whose coefficient is a nonzero
+    constant c, l1 is the sum of their |c|, and linear holds a row (c, c1,
+    c2, c3, cb, e, e1, e2, e3, eb) for each term whose coefficient reads a
+    variable.  A term whose coefficient is the constant 0 has no row.
+    """
+
+    def __new__(cls, terms):
+        table = super().__new__(cls, terms)
+        fixed, linear = [], []
+        for (cs, c), (es, e) in table:
+            if any(cs):
+                linear.append((c, *cs, e, *es))
+            elif c:
+                fixed.append((c, e, *es))
+        table.fixed, table.linear = tuple(fixed), tuple(linear)
+        table.l1 = sum(abs(row[0]) for row in fixed)
+        return table
+
+
 def _pm1_product(steps):
     """prod (p**i - 1) over steps, as an IntPoly."""
     return prod((IntPoly.term(1, i) - 1 for i in steps), start=ONE)
@@ -123,7 +148,7 @@ def _pm1_product(steps):
 
 def substitute_table(table, mapping):
     """Apply a simultaneous variable substitution to every table term."""
-    return tuple((c.subst(mapping), e.subst(mapping)) for c, e in table)
+    return CaseTable((c.subst(mapping), e.subst(mapping)) for c, e in table)
 
 
 def merge_table(table):
@@ -199,7 +224,7 @@ def _packed_denominator(width, steps):
 
 
 def _quotient(packed, l1, width, steps, bound):
-    """U with N = U * D by the claim above, from N(X) and ||N||_1; None if unproved."""
+    """U with N = U * D by the claim above, from N(X) and l1 >= ||N||_1; None if unproved."""
     if not l1 >> (width - 1):
         q, r = divmod(packed, _packed_denominator(width, steps))
         if not r and q >= 0:
@@ -209,68 +234,37 @@ def _quotient(packed, l1, width, steps, bound):
     return None
 
 
-def _formula_bug(case, terms, steps):
-    """FormulaBug for the (e, c) terms, with the long division's remainder."""
-    return FormulaBug(case, _poly(terms).divmod(_pm1_product(steps))[1])
+def _formula_bug(case, numerator, steps):
+    """FormulaBug for the IntPoly numerator, with the long division's remainder."""
+    return FormulaBug(case, numerator.divmod(_pm1_product(steps))[1])
 
 
-def _divide(terms, steps, bound, case):
-    """The terms' sum over prod(p**i - 1 for i in steps), for a quotient in [0, bound].
+def _divide(numerator, steps, bound, case):
+    """The IntPoly numerator over prod(p**i - 1 for i in steps), for a quotient in [0, bound].
 
     steps is a tuple.  Unless the claim above proves the division exact,
     with every quotient coefficient in [0, bound], FormulaBug names the case.
     """
+    coeffs = numerator.coeffs
     width = slot_width(bound << len(steps))
-    packed = l1 = 0
-    for e, c in terms:
-        packed += c << (width * e)
-        l1 += abs(c)
-    value = _quotient(packed, l1, width, steps, bound)
+    packed = sum(c << (width * e) for e, c in enumerate(coeffs))
+    value = _quotient(packed, sum(map(abs, coeffs)), width, steps, bound)
     if value is None:
-        raise _formula_bug(case, terms, steps)
+        raise _formula_bug(case, numerator, steps)
     return value
 
 
-# id(table) -> (table, its compiled rows): holding the table keeps its id
-# from being reused, so a table swapped into CATALOGS is compiled afresh.
-# The catalogs hold fewer than 64 table objects; past that it starts over.
-_COMPILED = {}
-
-
-def _compiled(table):
-    """A table's terms as flat int rows, compiled on its first use.
-
-    Returns (fixed, l1, linear): fixed holds a row (c, e, e1, e2, e3, eb)
-    for each term whose coefficient is a nonzero constant c, l1 is the sum
-    of their |c|, and linear holds a row (c, c1, c2, c3, cb, e, e1, e2, e3,
-    eb) for each term whose coefficient reads a variable.  A term whose
-    coefficient is the constant 0 has no row.
-    """
-    entry = _COMPILED.get(id(table))
-    if entry is None:
-        if len(_COMPILED) >= 64:
-            _COMPILED.clear()
-        fixed, linear = [], []
-        for (cs, c), (es, e) in table:
-            if any(cs):
-                linear.append((c, *cs, e, *es))
-            elif c:
-                fixed.append((c, e, *es))
-        entry = _COMPILED[id(table)] = (table, (
-            tuple(fixed), sum(abs(row[0]) for row in fixed), tuple(linear)))
-    return entry[1]
-
-
 def _evaluate(table, a1, a2, a3, b, steps, bound, case):
-    """_divide(_terms(table, a1, a2, a3, b), steps, bound, case) in one pass.
+    """_divide(_poly(_terms(table, a1, a2, a3, b)), steps, bound, case) in one pass.
 
-    Each nonzero term is added into the packed numerator and its l1 norm as
-    it is read; the terms are listed only to raise.
+    table is a CaseTable.  Each nonzero term, read off its rows, is added
+    into the packed numerator and its |c| into the l1 guard as it is
+    evaluated (the terms' |c| sum to at least the numerator's l1 norm); the
+    terms are listed only to raise.
     """
-    fixed, l1, linear = _compiled(table)
     width = slot_width(bound << len(steps))
-    packed = 0
-    for c, c1, c2, c3, cb, e, e1, e2, e3, eb in linear:
+    packed, l1 = 0, table.l1
+    for c, c1, c2, c3, cb, e, e1, e2, e3, eb in table.linear:
         c += c1 * a1 + c2 * a2 + c3 * a3 + cb * b
         if c:
             e += e1 * a1 + e2 * a2 + e3 * a3 + eb * b
@@ -278,14 +272,14 @@ def _evaluate(table, a1, a2, a3, b, steps, bound, case):
                 _terms(table, a1, a2, a3, b)  # raises, naming the first such term
             packed += c << (width * e)
             l1 += abs(c)
-    for c, e, e1, e2, e3, eb in fixed:
+    for c, e, e1, e2, e3, eb in table.fixed:
         e += e1 * a1 + e2 * a2 + e3 * a3 + eb * b
         if e < 0:
             _terms(table, a1, a2, a3, b)  # raises, as above
         packed += c << (width * e)
     value = _quotient(packed, l1, width, steps, bound)
     if value is None:
-        raise _formula_bug(case, _terms(table, a1, a2, a3, b), steps)
+        raise _formula_bug(case, _poly(_terms(table, a1, a2, a3, b)), steps)
     return value
 
 
@@ -343,9 +337,9 @@ def _check_m(m):
 
 # each numerator over (p - 1); table entries read (coefficient, exponent)
 RANK2_TABLES = {
-    1: ((L(1), L(1, b=1)), (L(-1), L())),
-    2: ((L(1), L(1, a1=1)), (L(-1), L())),
-    3: ((L(1), L(1, a1=1, a2=1, b=-1)), (L(-1), L())),
+    1: CaseTable(((L(1), L(1, b=1)), (L(-1), L()))),
+    2: CaseTable(((L(1), L(1, a1=1)), (L(-1), L()))),
+    3: CaseTable(((L(1), L(1, a1=1, a2=1, b=-1)), (L(-1), L()))),
 }
 
 
@@ -361,21 +355,21 @@ def rank2(t, b):
 _REFLECT_B = {"b": L(a1=1, a2=1, a3=1, b=-1)}
 
 RANK3_TABLES = {
-    1: (
+    1: CaseTable((
         (L(1), L(3, b=2)),
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
-    ),
-    2: (
+    )),
+    2: CaseTable((
         (L(1), L(3, a1=1, b=1)),
         (L(1), L(2, a1=1, b=1)),
         (L(-1), L(2, a1=2)),
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
-    ),
-    3: (
+    )),
+    3: CaseTable((
         (L(1, b=1, a2=-1), L(3, a1=1, a2=1)),
         (L(1), L(2, a1=1, a2=1)),
         (L(0, b=-1, a2=1), L(1, a1=1, a2=1)),
@@ -383,8 +377,8 @@ RANK3_TABLES = {
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
-    ),
-    5: (
+    )),
+    5: CaseTable((
         (L(1, a1=1), L(3, a1=1, a2=1)),
         (L(1), L(2, a1=1, a2=1)),
         (L(0, a1=-1), L(1, a1=1, a2=1)),
@@ -392,8 +386,8 @@ RANK3_TABLES = {
         (L(-1), L(2, a1=1, a2=1)),
         (L(-1), L(1, a1=1, a2=1)),
         (L(1), L()),
-    ),
-    6: (
+    )),
+    6: CaseTable((
         (L(1, a3=1, a2=-1), L(3, a1=1, a2=1)),
         (L(2), L(2, a1=1, a2=1)),
         (L(1, a2=1, a3=-1), L(1, a1=1, a2=1)),
@@ -403,7 +397,7 @@ RANK3_TABLES = {
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
-    ),
+    )),
 }
 RANK3_TABLES[4] = RANK3_TABLES[3]
 RANK3_TABLES[7] = substitute_table(RANK3_TABLES[4], _REFLECT_B)
@@ -467,7 +461,7 @@ def verify_case6_specializations():
 # ---------------------------------------------------------------------------
 
 MMM_TABLES = {
-    2: (
+    2: CaseTable((
         (L(1), L(3, a1=2)),
         (L(1), L(2, a1=2)),
         (L(1), L(1, a1=2)),
@@ -476,13 +470,13 @@ MMM_TABLES = {
         (L(-1), L(2, b=1)),
         (L(-1), L(1, b=1)),
         (L(1), L()),
-    ),
-    3: (
+    )),
+    3: CaseTable((
         (L(1), L(3, a1=6, b=-2)),
         (L(-1), L(2, a1=3, b=-1)),
         (L(-1), L(1, a1=3, b=-1)),
         (L(1), L()),
-    ),
+    )),
 }
 # b <= m is rank-3 case 1 (b <= a1)
 MMM_TABLES[1] = RANK3_TABLES[1]
@@ -499,7 +493,7 @@ def rank3_mmm(m, b):
 # ---------------------------------------------------------------------------
 
 RANK4_PARTIAL_TABLES = {
-    1: (
+    1: CaseTable((
         (L(1), L(6, b=3)),
         (L(-1), L(5, b=2)),
         (L(-1), L(4, b=2)),
@@ -508,8 +502,8 @@ RANK4_PARTIAL_TABLES = {
         (L(1), L(2, b=1)),
         (L(1), L(1, b=1)),
         (L(-1), L()),
-    ),
-    2: (
+    )),
+    2: CaseTable((
         (L(1), L(6, a1=1, b=2)),
         (L(1), L(5, a1=1, b=2)),
         (L(1), L(4, a1=1, b=2)),
@@ -524,8 +518,8 @@ RANK4_PARTIAL_TABLES = {
         (L(1), L(2, b=1)),
         (L(1), L(1, b=1)),
         (L(-1), L()),
-    ),
-    3: (
+    )),
+    3: CaseTable((
         (L(1, b=1, a2=-1), L(6, a1=1, a2=1, b=1)),
         (L(1, b=1, a2=-1), L(5, a1=1, a2=1, b=1)),
         (L(-1, b=-1, a2=1), L(3, a1=1, a2=1, b=1)),
@@ -544,7 +538,7 @@ RANK4_PARTIAL_TABLES = {
         (L(-1), L(4, b=2)),
         (L(-1), L(3, b=2)),
         (L(-1), L()),
-    ),
+    )),
 }
 
 
@@ -563,7 +557,7 @@ def rank4_partial(t, b):
 # ---------------------------------------------------------------------------
 
 MMMM_TABLES = {
-    2: (
+    2: CaseTable((
         (L(-1), L(5, b=2)),
         (L(-1), L(4, b=2)),
         (L(-1), L(3, b=2)),
@@ -584,8 +578,8 @@ MMMM_TABLES = {
         (L(1), L(3, a1=4, b=-1)),
         (L(1), L(2, a1=4, b=-1)),
         (L(1), L(1, a1=4, b=-1)),
-    ),
-    3: (
+    )),
+    3: CaseTable((
         (L(1), L(3, b=1)),
         (L(1), L(2, b=1)),
         (L(1), L(1, b=1)),
@@ -606,8 +600,8 @@ MMMM_TABLES = {
         (L(-2), L(2, a1=3)),
         (L(-1), L(1, a1=3)),
         (L(-1), L()),
-    ),
-    4: (
+    )),
+    4: CaseTable((
         (L(1), L(3, a1=4, b=-1)),
         (L(1), L(2, a1=4, b=-1)),
         (L(1), L(1, a1=4, b=-1)),
@@ -616,7 +610,7 @@ MMMM_TABLES = {
         (L(-1), L(3, a1=8, b=-2)),
         (L(1), L(6, a1=12, b=-3)),
         (L(-1), L()),
-    ),
+    )),
 }
 # b <= m is rank-4 partial case 1 (b <= a1)
 MMMM_TABLES[1] = RANK4_PARTIAL_TABLES[1]
@@ -687,8 +681,8 @@ def rank4_mmmm_total(m):
         4 * m + 7,
     ))
     # the total of (m, m, m, m) sums 4m + 1 subgroup counts
-    return _divide(list(enumerate((head - mid - tail).coeffs)), (2, 2, 3, 3),
-                   (4 * m + 1) * comb(4 * m + 4, 4), "rank4-mmmm total")
+    return _divide(head - mid - tail, (2, 2, 3, 3), (4 * m + 1) * comb(4 * m + 4, 4),
+                   "rank4-mmmm total")
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +742,7 @@ def gaussian_binomial(d, b):
         value = (IntPoly.term(1, d - k + i) - 1) * value
     # [d choose b] counts the subgroups of order p**b in (1, ..., 1), d
     # parts, and its coefficients are nonnegative and sum to C(d, b)
-    return _divide(list(enumerate(value.coeffs)), tuple(range(1, k + 1)), comb(d, b),
+    return _divide(value, tuple(range(1, k + 1)), comb(d, b),
                    "gaussian_binomial(%d, %d)" % (d, b))
 
 

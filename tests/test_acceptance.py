@@ -12,7 +12,7 @@ import time
 
 from subcount.cli import main
 from subcount.closedforms import (
-    LinForm, RANK3_TABLES, rank3, rank4_mmmm_total, verify_case6_specializations,
+    CaseTable, LinForm, RANK3_TABLES, rank3, rank4_mmmm_total, verify_case6_specializations,
 )
 from subcount.genfun import verify_F2, verify_g_product, verify_sub_series
 from subcount.groups import GroupType
@@ -215,7 +215,7 @@ def test_criterion_11_boundary_agreement():
 def test_criterion_12_negative_control(capsys):
     original = RANK3_TABLES[6]
     coeff, expo = original[0]
-    RANK3_TABLES[6] = ((LinForm(coeff.coeffs, coeff.const + 1), expo),) + original[1:]
+    RANK3_TABLES[6] = CaseTable(((LinForm(coeff.coeffs, coeff.const + 1), expo),) + original[1:])
     try:
         code = main(["verify", "--max-rank", "3", "--max-part", "3",
                      "--primes", "2", "--oracle-limit", "64"])

@@ -513,9 +513,9 @@ def _case6_off_by_one(monkeypatch):
     # evaluate it crash with a FormulaBug, not a mismatch; only the
     # substitution check compares the table itself.
     coeff, expo = closedforms.RANK3_TABLES[6][0]
-    monkeypatch.setitem(closedforms.RANK3_TABLES, 6, (
+    monkeypatch.setitem(closedforms.RANK3_TABLES, 6, closedforms.CaseTable((
         (closedforms.LinForm(coeff.coeffs, coeff.const + 1), expo),)
-        + closedforms.RANK3_TABLES[6][1:])
+        + closedforms.RANK3_TABLES[6][1:]))
 
 
 def _census_inner_counts_raised(census):
@@ -683,12 +683,9 @@ def assert_no_child_left():
 
 class TestWorkers:
     def test_same_report_at_every_worker_count(self, capsys, monkeypatch):
-        # criterion 12's perturbation: rank-3 Case 6 off by one in the
-        # calling process, which the workers inherit
-        coeff, expo = closedforms.RANK3_TABLES[6][0]
-        monkeypatch.setitem(closedforms.RANK3_TABLES, 6, (
-            (closedforms.LinForm(coeff.coeffs, coeff.const + 1), expo),)
-            + closedforms.RANK3_TABLES[6][1:])
+        # criterion 12's perturbation in the calling process, which the
+        # workers inherit
+        _case6_off_by_one(monkeypatch)
         scale = verify.Scale.of(max_rank=3, max_part=3, primes=(2,), oracle_limit=64)
         argv = ("verify", "--max-rank", "3", "--max-part", "3", "--primes", "2",
                 "--oracle-limit", "64", "--json")

@@ -6,10 +6,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from subcount import closedforms
 from subcount.closedforms import (
-    CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, FormulaBug, FormulaResult,
-    LinForm, OrderViolation, RANK3_TABLES, _divide, _evaluate, _pm1_product, _poly, _terms,
-    anyrank_case1, closed_form, gaussian_binomial, leading_term_ccl,
+    CASE6_SPECIALIZATIONS, CATALOGS, CHAMBERS, MMM_TABLES, CaseId, CaseTable, FormulaBug,
+    FormulaResult, LinForm, OrderViolation, RANK3_TABLES, _divide, _evaluate, _pm1_product,
+    _poly, _terms, anyrank_case1, closed_form, gaussian_binomial, leading_term_ccl,
     merge_table, rank2, rank3, rank3_applicable_cases, rank3_mmm, rank3_with_case,
     rank4_mmmm_b, rank4_mmmm_total, rank4_partial, rank4_total_ccl,
     substitute_table, verify_case6_specializations,
@@ -83,10 +84,11 @@ def env_at(parts, b):
 
 @contextmanager
 def swapped_table(family, case_no, table):
-    """Put table in the catalog as the case, restoring the original on exit."""
+    """Put table, built as a CaseTable, in the catalog as the case, restoring
+    the original on exit."""
     tables = CATALOGS[family]
     original = tables[case_no]
-    tables[case_no] = table
+    tables[case_no] = CaseTable(table)
     try:
         yield
     finally:
@@ -173,13 +175,9 @@ BOUND = 9
 bounded_polys = st.builds(IntPoly, st.lists(st.integers(0, BOUND), max_size=12))
 
 
-def terms_of(f):
-    return list(enumerate(f.coeffs))
-
-
 def divide(f, steps, bound=BOUND):
     """_divide on the polynomial f."""
-    return _divide(terms_of(f), tuple(steps), bound, "test")
+    return _divide(f, tuple(steps), bound, "test")
 
 
 def pm1_product(steps):
@@ -263,13 +261,16 @@ class TestDividePm1:
 
 def two_pass(table, env, steps, bound):
     """The evaluator's route before it took one pass: _terms lists the terms,
-    then _divide walks them again."""
+    _poly sums them, then _divide walks the sum again.  Its l1 guard reads the
+    sum's norm, not the terms' |c|; the two differ only where the terms' |c|
+    sum to 2**(W - 1) or more."""
     terms = _terms(table, env["a1"], env["a2"], env["a3"], env["b"])
-    return _divide(terms, steps, bound, "test")
+    return _divide(_poly(terms), steps, bound, "test")
 
 
 def one_pass(table, env, steps, bound):
-    return _evaluate(table, env["a1"], env["a2"], env["a3"], env["b"], steps, bound, "test")
+    return _evaluate(CaseTable(table), env["a1"], env["a2"], env["a3"], env["b"], steps, bound,
+                     "test")
 
 
 def outcome(route, *args):
@@ -458,6 +459,19 @@ class TestEvaluator:
         assert info.value.case == CaseId("rank3", 1)
         assert info.value.remainder.is_zero
 
+    @pytest.mark.parametrize("evaluate, case", [
+        (lambda: gaussian_binomial(6, 3), "gaussian_binomial(6, 3)"),
+        (lambda: rank4_mmmm_total(2), "rank4-mmmm total"),
+    ], ids=["gaussian_binomial", "rank4_mmmm_total"])
+    def test_failed_division_names_its_case(self, monkeypatch, evaluate, case):
+        # a count bound of 0 refuses every quotient with a positive coefficient
+        monkeypatch.setattr(closedforms, "comb", lambda n, k: 0)
+        with pytest.raises(FormulaBug) as info:
+            evaluate()
+        assert str(info.value) == (
+            "closed form %s divided exactly, but its quotient is not a count" % case)
+        assert info.value.case == case and info.value.remainder.is_zero
+
     def test_no_right_value_raises(self):
         assert all(res.covered for res, _, _ in catalog_queries())
         for m in range(1, 7):
@@ -465,6 +479,27 @@ class TestEvaluator:
         for d in range(14):
             for b in range(d + 1):
                 gaussian_binomial(d, b)
+
+
+class TestCaseTable:
+    def test_rows_of_each_kind_of_term(self):
+        terms = ((L(0), L(-1)), (L(2), L(1, b=1)), (L(-3, a1=1), L(2)), (L(-5), L()))
+        table = CaseTable(terms)
+        assert table == terms and hash(table) == hash(terms)
+        assert table.fixed == ((2, 1, 0, 0, 0, 1), (-5, 0, 0, 0, 0, 0))
+        assert table.l1 == 7
+        assert table.linear == ((-3, 1, 0, 0, 0, 2, 0, 0, 0, 0),)
+
+    def test_every_table_is_compiled_when_built(self):
+        # the catalog's tables, Cases 7-10 among them, and a fresh substitution
+        tables = [CATALOGS[case.family][case.case] for case in ALL_CASES]
+        tables += [substitute_table(RANK3_TABLES[6], m) for m in CASE6_SPECIALIZATIONS.values()]
+        for table in tables:
+            fresh = CaseTable(tuple(table))
+            assert type(table) is CaseTable
+            assert (table.fixed, table.l1, table.linear) == (fresh.fixed, fresh.l1, fresh.linear)
+        for case, partner in ALIASES:
+            assert CATALOGS[case.family][case.case] is CATALOGS[partner.family][partner.case]
 
 
 class TestWideSlots:
