@@ -33,10 +33,10 @@ class NonUnitConstant(ValueError):
 # when every coefficient lies in [-2**(w-1), 2**(w-1)): the lowest slot is
 # then the signed residue of the value mod 2**w, and the rest is the value
 # less that slot, shifted down.  So two packed values whose coefficients fit
-# are equal iff their polynomials are.  Each series carries a proved bound
-# on the absolute values of its coefficients, and its width w is
-# polyring.slot_width of that bound, the least whole number of 64-bit words
-# whose signed slots hold it.
+# are equal iff their polynomials are.  A series' width w is
+# polyring.slot_width of a proved bound on the absolute values of its
+# coefficients, the least whole number of 64-bit words whose signed slots
+# hold it.
 
 def _pack(coeffs, width):
     """The packed value of ascending coefficients; raises if one does not fit."""
@@ -76,7 +76,7 @@ class MultiSeries:
     truncates away.  coeff() returns IntPolys.
     """
 
-    __slots__ = ("bounds", "_data", "_bound", "_width")
+    __slots__ = ("bounds", "_data", "_width")
 
     def __init__(self, bounds, data=None):
         self.bounds = tuple(bounds)
@@ -94,9 +94,8 @@ class MultiSeries:
                                 % (coeff,))
             if not coeff.is_zero and all(e <= b for e, b in zip(mono, self.bounds)):
                 polys[mono] = coeff
-        self._bound = max((abs(c) for poly in polys.values() for c in poly.coeffs),
-                          default=0)
-        self._width = slot_width(self._bound)
+        self._width = slot_width(max(
+            (abs(c) for poly in polys.values() for c in poly.coeffs), default=0))
         self._data = {mono: _pack(poly.coeffs, self._width)
                       for mono, poly in polys.items()}
 
@@ -106,7 +105,6 @@ class MultiSeries:
         series = object.__new__(cls)
         series.bounds = bounds
         series._data = data
-        series._bound = bound
         series._width = slot_width(bound)
         return series
 
@@ -137,33 +135,8 @@ class MultiSeries:
         return sum(abs(c) for value in self._data.values()
                    for c in _unpack(value, self._width).coeffs)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        bound = self._bound + other._bound
-        width = slot_width(bound)
-        data = dict(self._at(width))
-        for mono, value in other._at(width).items():
-            total = data.get(mono, 0) + value
-            if total:
-                data[mono] = total
-            else:
-                del data[mono]
-        return MultiSeries._packed(self.bounds, data, bound)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiSeries):
-            width = max(self._width, other._width)
-            return self.bounds == other.bounds and self._at(width) == other._at(width)
-        return NotImplemented
-
     def __repr__(self):
         return "MultiSeries(%r, %d terms)" % (self.bounds, len(self._data))
-
-    def _check_compatible(self, other):
-        if not isinstance(other, MultiSeries):
-            raise TypeError("expected a MultiSeries, got %r" % (other,))
-        if other.bounds != self.bounds:
-            raise ValueError("bounds differ: %r vs %r" % (self.bounds, other.bounds))
 
 
 # Width of an expansion.  Write |s| for the sum of the absolute values of
@@ -186,7 +159,10 @@ def expand_rational(numerator, factors):
 
     Each factor is c0 + c*x1**m1 * x2**m2 * y**my, the shape of the paper's
     series: c0 is +1 or -1, so (1 - c*x) and (c*x - 1) both serve, and m1 or
-    m2 is positive.  Any other factor raises before any work is done.  As
+    m2 is positive.  Before any argument is read, one that is not a
+    MultiSeries raises TypeError, and a factor with other bounds than the
+    numerator's raises ValueError.  A factor of any other shape raises before
+    any work is done.  As
     f = c0 * (1 + c0*c*x**m), the product of the constants signs the whole
     expansion, and each factor divides the series in one pass over the box by
     s[e] = acc[e] - c0*c*s[e - m]; a cell e - m with a negative exponent is
@@ -194,6 +170,12 @@ def expand_rational(numerator, factors):
     so the term is one index offset d back to an earlier line of fixed
     (e1, e2), which is final: the quotient overwrites acc a line at a time.
     """
+    for series in (numerator, *factors):
+        if not isinstance(series, MultiSeries):
+            raise TypeError("expected a MultiSeries, got %r" % (series,))
+        if series.bounds != numerator.bounds:
+            raise ValueError(
+                "bounds differ: %r vs %r" % (numerator.bounds, series.bounds))
     bounds = numerator.bounds
     bound = numerator._norm()
     for factor in factors:
@@ -201,7 +183,6 @@ def expand_rational(numerator, factors):
         if c0 != 1 and c0 != -1:
             raise NonUnitConstant(
                 "constant term must be 1 or -1, got %s" % (factor.coeff(0, 0, 0),))
-        numerator._check_compatible(factor)
         m1, m2, my = factor.monomials[-1]  # the term, or the constant if it truncated
         if len(factor._data) > 2 or my and not (m1 or m2):
             raise ValueError("factor %s is not +-1 and one term in x1 or x2"

@@ -35,6 +35,15 @@ def series(*terms):
     return MultiSeries(B, {(e1, e2, ey): coeff for e1, e2, ey, coeff in terms})
 
 
+def cells(*summands):
+    """The nonzero cells of the summands' sum, added cell by cell."""
+    total = {}
+    for s in summands:
+        for mono in s.monomials:
+            total[mono] = total.get(mono, ZERO) + s.coeff(*mono)
+    return {mono: c for mono, c in total.items() if not c.is_zero}
+
+
 class TestMultiSeries:
     def test_coeff_and_truncation(self):
         s = series((1, 0, 0, ONE), (9, 9, 9, ONE))
@@ -85,44 +94,20 @@ class TestMultiSeries:
         with pytest.raises(OutOfBounds):
             series().coeff(0, 0, -1)
 
-    def test_arithmetic(self):
-        x = series((1, 0, 0, ONE))
-        y = series((0, 0, 1, ONE))
-        s = x + y
-        assert s.coeff(1, 0, 0) == ONE and s.coeff(0, 0, 1) == ONE
-        # a coefficient that cancels leaves the series
-        assert s + series((1, 0, 0, MINUS_ONE)) == y
-
-    def test_bounds_must_match(self):
-        with pytest.raises(ValueError):
-            series() + MultiSeries((1, 1, 1))
-        with pytest.raises(TypeError):
-            series() + 1
-
-    def test_unequal_to_a_non_series(self):
-        s = series((1, 0, 0, ONE))
-        assert s != 1 and s != "x" and s != {(1, 0, 0): ONE}
-        assert not s == ONE
-
     def test_polynomial_coefficients(self):
         s = series((1, 1, 1, IntPoly((0, 1))))
         assert s.coeff(1, 1, 1) == IntPoly((0, 1))
 
     def test_int_coefficients(self):
-        assert series((1, 0, 0, -3)) == series((1, 0, 0, IntPoly((-3,))))
+        assert cells(series((1, 0, 0, -3))) == cells(series((1, 0, 0, IntPoly((-3,)))))
         assert MultiSeries(B, {(0, 1, 0): 2}).coeff(0, 1, 0) == IntPoly((2,))
 
-    def test_wide_coefficients_add_and_compare(self):
-        # 2**70 needs 128-bit slots; + and == repack the 64-bit series to match
+    def test_wide_coefficients_read_back(self):
+        # 2**70 needs 128-bit slots
         big = IntPoly((1 << 70, -(1 << 65)))
-        wide = series((1, 0, 0, big))
-        narrow = series((1, 0, 0, ONE), (0, 0, 1, IntPoly((0, -2))))
-        total = wide + narrow
-        assert total.coeff(1, 0, 0) == big + ONE
-        assert total.coeff(0, 0, 1) == IntPoly((0, -2))
-        assert total + series((1, 0, 0, -big)) == narrow
-        assert narrow == total + series((1, 0, 0, -big))
-        assert wide != series((1, 0, 0, IntPoly((1 << 70,))))
+        wide = series((1, 0, 0, big), (0, 0, 1, IntPoly((0, -2))))
+        assert wide.coeff(1, 0, 0) == big
+        assert wide.coeff(0, 0, 1) == IntPoly((0, -2))
 
     def test_non_unit_constant(self):
         num = series((0, 0, 0, ONE))
@@ -287,8 +272,17 @@ class TestExpandRational:
     def test_factor_bounds_must_match(self):
         num = series((0, 0, 0, ONE))
         fac = MultiSeries((3, 3, 2), {(0, 0, 0): ONE, (1, 0, 0): MINUS_ONE})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bounds differ"):
             expand_rational(num, [fac])
+
+    @pytest.mark.parametrize("numerator, factors", [
+        (series((0, 0, 0, ONE)), [{(0, 0, 0): 1, (1, 0, 0): -1}]),
+        (series((0, 0, 0, ONE)), [5]),
+        ({(0, 0, 0): 1}, []),
+    ], ids=["dict-factor", "int-factor", "dict-numerator"])
+    def test_argument_that_is_not_a_series_rejected(self, numerator, factors):
+        with pytest.raises(TypeError, match="expected a MultiSeries"):
+            expand_rational(numerator, factors)
 
 
 class TestSeriesChecks:
@@ -310,7 +304,8 @@ class TestSeriesChecks:
         for bounds in [(4, 4, 4), (8, 8, 8), (12, 12, 12)]:
             equal = genfun._expand(bounds, genfun._SERIES["equal_piece"])
             strict = genfun._expand(bounds, genfun._SERIES["strict_piece"])
-            assert equal + strict == genfun._expand(bounds, genfun._SERIES["full"])
+            full = genfun._expand(bounds, genfun._SERIES["full"])
+            assert cells(equal, strict) == cells(full), bounds
 
     def test_too_wide_a_reference_is_a_mismatch(self, monkeypatch):
         # 2**70 does not fit the series' 64-bit slots, so it equals no cell
@@ -351,13 +346,15 @@ class TestSeriesChecks:
             series = exact(bounds, formula)
             for side, junk in (("equal_piece", 1), ("strict_piece", -1)):
                 if formula is genfun._SERIES[side]:
-                    series = series + MultiSeries(bounds, {cell: junk})
+                    data = cells(series)
+                    data[cell] = data.get(cell, ZERO) + junk
+                    series = MultiSeries(bounds, data)
             return series
 
         monkeypatch.setattr(genfun, "_expand", perturbed)
         equal = genfun._expand(bounds, genfun._SERIES["equal_piece"])
         strict = genfun._expand(bounds, genfun._SERIES["strict_piece"])
-        assert equal + strict == exact(bounds, genfun._SERIES["full"])
+        assert cells(equal, strict) == cells(exact(bounds, genfun._SERIES["full"]))
         assert verify_sub_series(bounds) == [
             {"monomial": list(cell), "expected": [], "got": [1]},
             {"monomial": list(cell), "expected": [], "got": [-1]}]
