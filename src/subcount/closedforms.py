@@ -37,8 +37,8 @@ class FormulaBug(ArithmeticError):
 
     A nonzero remainder means the table did not divide exactly.  A zero
     remainder means it did, but the quotient is not a count: a coefficient
-    is negative or above the count bound.  Terms past the packed kernel's
-    l1 guard raise too; no right table has them.
+    is negative or above the count bound.  A numerator past the packed
+    kernel's l1 guard raises too; no right table has one.
     """
 
     def __init__(self, case, remainder):
@@ -234,11 +234,6 @@ def _quotient(packed, l1, width, steps, bound):
     return None
 
 
-def _formula_bug(case, numerator, steps):
-    """FormulaBug for the IntPoly numerator, with the long division's remainder."""
-    return FormulaBug(case, numerator.divmod(_pm1_product(steps))[1])
-
-
 def _divide(numerator, steps, bound, case):
     """The IntPoly numerator over prod(p**i - 1 for i in steps), for a quotient in [0, bound].
 
@@ -250,17 +245,18 @@ def _divide(numerator, steps, bound, case):
     packed = sum(c << (width * e) for e, c in enumerate(coeffs))
     value = _quotient(packed, sum(map(abs, coeffs)), width, steps, bound)
     if value is None:
-        raise _formula_bug(case, numerator, steps)
+        raise FormulaBug(case, numerator.divmod(_pm1_product(steps))[1])
     return value
 
 
 def _evaluate(table, a1, a2, a3, b, steps, bound, case):
-    """_divide(_poly(_terms(table, a1, a2, a3, b)), steps, bound, case) in one pass.
+    """_divide(_poly(_terms(table, a1, a2, a3, b)), steps, bound, case).
 
-    table is a CaseTable.  Each nonzero term, read off its rows, is added
-    into the packed numerator and its |c| into the l1 guard as it is
-    evaluated (the terms' |c| sum to at least the numerator's l1 norm); the
-    terms are listed only to raise.
+    table is a CaseTable.  In one pass over its rows, each nonzero term is
+    added into the packed numerator and its |c| into the l1 guard as it is
+    evaluated.  The terms' |c| sum to at least the numerator's l1 norm, and
+    to more where terms cancel: when the guard refuses, the terms are listed
+    and _divide divides their sum.  They are listed otherwise only to raise.
     """
     width = slot_width(bound << len(steps))
     packed, l1 = 0, table.l1
@@ -279,7 +275,7 @@ def _evaluate(table, a1, a2, a3, b, steps, bound, case):
         packed += c << (width * e)
     value = _quotient(packed, l1, width, steps, bound)
     if value is None:
-        raise _formula_bug(case, _poly(_terms(table, a1, a2, a3, b)), steps)
+        return _divide(_poly(_terms(table, a1, a2, a3, b)), steps, bound, case)
     return value
 
 

@@ -243,13 +243,15 @@ def _star_cells(k):
 # at least 1, so a type with V type vectors is charged at least V * n.
 
 def star_census_work(t, prime):
-    """An upper bound on the search calls of star_matrix_census: W(ivec)
-    summed over every type vector.
+    """W(ivec) summed over every type vector, stopping at the first partial
+    sum past STAR_COST_LIMIT.
 
-    A type with V type vectors and n >= 1 cells is charged at least V * n.
-    When that alone passes STAR_COST_LIMIT it is returned unsummed, so a
-    huge type is priced at once, and a summed type has at most
-    STAR_COST_LIMIT / n type vectors.
+    A price within the cap is an upper bound on the search calls of
+    star_matrix_census; one over it is a lower bound on the full sum, enough
+    to refuse the type.  A type with V type vectors and n >= 1 cells is
+    charged at least V * n.  When that alone passes STAR_COST_LIMIT it is
+    returned unsummed, so a huge type is priced at once; otherwise at most
+    STAR_COST_LIMIT / n + 1 type vectors are summed.
     """
     t = GroupType(t)
     inner = _star_cells(t.rank)[:-1]
@@ -266,6 +268,8 @@ def star_census_work(t, prime):
             node *= prime ** min(ivec[j], t[r] - ivec[r])
             calls += node
         total += calls
+        if total > STAR_COST_LIMIT:
+            break
     return total
 
 

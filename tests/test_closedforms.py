@@ -261,9 +261,7 @@ class TestDividePm1:
 
 def two_pass(table, env, steps, bound):
     """The evaluator's route before it took one pass: _terms lists the terms,
-    _poly sums them, then _divide walks the sum again.  Its l1 guard reads the
-    sum's norm, not the terms' |c|; the two differ only where the terms' |c|
-    sum to 2**(W - 1) or more."""
+    _poly sums them, then _divide walks the sum again."""
     terms = _terms(table, env["a1"], env["a2"], env["a3"], env["b"])
     return _divide(_poly(terms), steps, bound, "test")
 
@@ -459,6 +457,14 @@ class TestEvaluator:
         assert info.value.case == CaseId("rank3", 1)
         assert info.value.remainder.is_zero
 
+    def test_terms_that_cancel_past_the_l1_guard_divide(self):
+        # 2**63 * p - 2**63 * p adds nothing to Case 1, but the terms' |c| sum
+        # past the one-pass l1 guard at W = 64; the summed numerator divides
+        extra = ((L(2 ** 63), L(1)), (L(-2 ** 63), L(1)))
+        want = rank2((1, 1), 0)
+        assert want.value == ONE
+        with swapped_table("rank2", 1, CATALOGS["rank2"][1] + extra):
+            assert rank2((1, 1), 0) == want
     @pytest.mark.parametrize("evaluate, case", [
         (lambda: gaussian_binomial(6, 3), "gaussian_binomial(6, 3)"),
         (lambda: rank4_mmmm_total(2), "rank4-mmmm total"),

@@ -233,11 +233,21 @@ class TestStarCensus:
     def test_cost_limit(self):
         # (1,1,1,9) at p=2, the old refused example, has only 475 subgroups
         # and a work bound of 960 search calls; a lifted order limit lets
-        # (6,6,6,6) at p=2 past the order check, and its bound refuses it
+        # (6,6,6,6) at p=2 past the order check, and its bound refuses it,
+        # priced at the first partial sum past the cap (the full sum is
+        # 17,096,140)
         assert star_census_work((1, 1, 1, 9), 2) == 960
-        assert star_census_work((6, 6, 6, 6), 2) == 17_096_140 > STAR_COST_LIMIT
+        assert star_census_work((6, 6, 6, 6), 2) == 10_002_050 > STAR_COST_LIMIT
         with pytest.raises(CensusTooCostly):
             star_matrix_census((6, 6, 6, 6), 2, limit=2 ** 24)
+
+    def test_pricing_stops_past_the_cap(self):
+        # (2,)*11 at p=2: its floor 3**11 * 55 = 9,743,085 is within the cap,
+        # so its type vectors are summed, but only until the sum passes it
+        start = time.monotonic()
+        with pytest.raises(CensusTooCostly):
+            star_matrix_census((2,) * 11, 2, limit=2 ** 22)
+        assert time.monotonic() - start < 1.0
 
     def test_cost_limit_on_a_huge_type(self):
         # 1001**4 type vectors of 6 cells: refused by that count alone, before
@@ -269,7 +279,7 @@ class TestAdmission:
          "census of (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1) at p=2 would cost "
          "1999571766980608 (subgroups times order), over the limit 20000000"),
         ("star_matrix_census", (6, 6, 6, 6), 2, 2 ** 24, CensusTooCostly,
-         "matrix census of (6, 6, 6, 6) at p=2 may make 17096140 or more search "
+         "matrix census of (6, 6, 6, 6) at p=2 may make 10002050 or more search "
          "calls, over the limit 10000000"),
         ("subgroup_census", (1,) * 13, 2, 4096, GroupTooLarge,
          "group order 2^13 exceeds the enumeration limit 4096"),
