@@ -47,11 +47,13 @@ def count_hironaka(t, b, memo=None):
     check_int("b", b)
     if memo is None:
         memo = _HIRONAKA_MEMO
-    if b < 0 or b > t.weight:
-        return ZERO
-    if len(t) <= 1:  # a cyclic group has one subgroup of each order
-        return ONE
-    return _hironaka_row(t, memo)[b]
+    # a stored row answers with no weight read: it has one entry per b in range
+    row = memo.get(t)
+    if row is None:
+        if len(t) <= 1:  # a cyclic group has one subgroup of each order
+            return ONE if 0 <= b <= t.weight else ZERO
+        row = _hironaka_row(t, memo)
+    return row[b] if 0 <= b < len(row) else ZERO
 
 
 def _hironaka_row(parts, memo):
@@ -117,21 +119,22 @@ def count_stehling(t, b, memo=None):
     check_int("b", b)
     if memo is None:
         memo = _STEHLING_MEMO
-    weight = t.weight
+    weight = sum(t)
     if b < 0 or b > weight:
         return ZERO
-    # the memo keeps each answer as well as the packed states (keyed by
-    # width first), so a repeated query is one lookup; b and its dual
-    # index weight - b have the same answer, stored once
-    b = min(b, weight - b)
-    desc = t.descending()
-    answer = memo.get((desc, b))
+    # the memo keeps each answer under the ascending type and b folded to
+    # min(b, weight - b), since b and its dual index have the same answer,
+    # so a repeated query is one lookup; the packed states beside it are
+    # keyed by width first and never collide with an answer
+    if b > weight - b:
+        b = weight - b
+    answer = memo.get((t, b))
     if answer is None:
-        width = slot_width(comb(weight + t.rank, t.rank))
-        state, r, _ = _normal(desc, b, weight - b)
+        width = slot_width(comb(weight + len(t), len(t)))
+        state, r, _ = _normal(t[::-1], b, weight - b)
         packed = _stehling(state, r, width, memo)
         # the slots hold nonnegative ints by construction
-        answer = memo.put((desc, b), IntPoly._trusted(unpack_slots(packed, width)))
+        answer = memo.put((t, b), IntPoly._trusted(unpack_slots(packed, width)))
     return answer
 
 

@@ -16,8 +16,9 @@ from subcount.recurrence import count_stehling
 
 B = (3, 3, 3)
 MINUS_ONE = IntPoly((-1,))
-# the truncation of the unit tests and the benchmark's series box
-SERIES_BOXES = [(4, 4, 4), (12, 12, 12)]
+# the truncation of the unit tests, the benchmark's series box, and two
+# boxes whose bounds differ, so lines hold different numbers of cells
+SERIES_BOXES = [(4, 4, 4), (12, 12, 12), (12, 5, 9), (3, 9, 2)]
 
 
 # the two pieces of the full series as printed in the paper, which both fail
@@ -205,6 +206,31 @@ def test_expansion_in_128_bit_slots():
         assert max(abs(c) for m in got.monomials for c in got.coeff(*m).coeffs) > 1 << 63
 
 
+@pytest.mark.parametrize("bounds, numerator, factors, degree, reached", [
+    # (p*x1)**5 * (p*x2*y)**2 at x1**5 * x2**2 * y**2 is p**7, exactly the
+    # degree bound 5 + 2 of the lines
+    ((5, 2, 3), {(0, 0, 0): ONE},
+     [{(0, 0, 0): ONE, (1, 0, 0): IntPoly((0, -1))},
+      {(0, 0, 0): ONE, (0, 1, 1): IntPoly((0, -1))}], 7, 7),
+    # every line is full to y**3, so each step of the y**2 term pushes two
+    # cells past the box on every line it writes
+    ((3, 2, 3), {(0, e2, ey): IntPoly((1 + ey, -2 - e2)) for e2 in range(3) for ey in range(4)},
+     [{(0, 0, 0): MINUS_ONE, (1, 0, 2): IntPoly((0, -3))}], 2, 2),
+    # negative cells, the top one at y**B3, on lines (0, 1) and (1, 0), which
+    # the factor in x1*x2 never writes
+    ((2, 2, 2), {(0, 0, 0): ONE, (0, 1, 2): IntPoly((3, 0, -7)), (1, 0, 1): IntPoly((-1,))},
+     [{(0, 0, 0): ONE, (1, 1, 0): IntPoly((0, 2))}], 4, 3),
+    # the line -1 + y packs as 2**stride - 1, no longer than a line with no
+    # cell past y**0, yet shifted up by y its y cell leaves the box
+    ((2, 0, 1), {(0, 0, 0): MINUS_ONE, (0, 0, 1): ONE},
+     [{(0, 0, 0): ONE, (1, 0, 1): MINUS_ONE}], 0, 0),
+], ids=["degree-bound", "past-the-box", "untouched-negative", "one-cell-past"])
+def test_line_layout_edges(bounds, numerator, factors, degree, reached):
+    got = assert_matches_reference(bounds, numerator, factors)
+    assert got._degree == degree
+    assert max(len(got.coeff(*m).coeffs) for m in got.monomials) - 1 == reached
+
+
 @pytest.mark.parametrize("name", sorted(genfun._FACTORS))
 def test_paper_factors_with_either_sign(name):
     factor = genfun._FACTORS[name]
@@ -286,7 +312,7 @@ class TestExpandRational:
 
 
 class TestSeriesChecks:
-    # each check runs at the unit-test box and at the benchmark's box
+    # each check runs at every box of SERIES_BOXES
     def test_full_series_matches_recurrence(self):
         for bounds in SERIES_BOXES:
             assert verify_F2(bounds=bounds) == [], bounds
@@ -307,19 +333,47 @@ class TestSeriesChecks:
             full = genfun._expand(bounds, genfun._SERIES["full"])
             assert cells(equal, strict) == cells(full), bounds
 
-    def test_too_wide_a_reference_is_a_mismatch(self, monkeypatch):
-        # 2**70 does not fit the series' 64-bit slots, so it equals no cell
+    @pytest.mark.parametrize("changes", [
+        # p**5 past the degree bound 4 of (4, 4, 4), and 1 less in the next
+        # cell, where it would land if the line took it: the packed line
+        # would equal the series'
+        {((1, 2), 2): IntPoly.term(1, 5), ((1, 2), 3): MINUS_ONE},
+        # a negative coefficient, -2
+        {((1, 2), 2): IntPoly((-3,))},
+        # 2**63 + 1 would read back as -2**63 + 1 from a signed 64-bit slot
+        {((1, 2), 2): IntPoly((1 << 63,))},
+        # p * 2**64 takes more than one word
+        {((1, 2), 2): IntPoly((0, 1 << 64))},
+    ], ids=["degree-above-D", "negative", "top-bit", "wide"])
+    def test_too_wide_a_reference_is_a_mismatch(self, monkeypatch, changes):
+        # each changed reference is reported at its cell, as for any other
+        # mismatch, and every other cell still matches
         exact = genfun.count_stehling
 
         def perturbed(t, r):
-            value = exact(t, r)
-            return value + (1 << 70) if (tuple(t), r) == ((1, 2), 2) else value
+            return exact(t, r) + changes.get((tuple(t), r), ZERO)
 
         monkeypatch.setattr(genfun, "count_stehling", perturbed)
-        [record] = verify_F2((4, 4, 4))
-        assert record["monomial"] == [2, 1, 2]
-        assert record["expected"] == perturbed((1, 2), 2).to_json()
-        assert record["got"] == exact((1, 2), 2).to_json()
+        assert verify_F2((4, 4, 4)) == [
+            {"monomial": [u, v, r], "expected": perturbed((v, u), r).to_json(),
+             "got": exact((v, u), r).to_json()}
+            for (v, u), r in changes]
+
+    @pytest.mark.parametrize("reference", [(-1, 1), ((1 << 64) - 1, 1)],
+                             ids=["negative", "unsigned"])
+    def test_reference_word_that_aliases_a_borrow_is_a_mismatch(self, monkeypatch, reference):
+        # the series cell [-1, 2] is packed as 2**65 - 1, and so would be
+        # either reference, -1 written as a bare two's-complement word or
+        # 2**64 - 1 as an unsigned one, if its line were packed
+        bounds, cell = (4, 4, 4), (2, 1, 2)
+        data = cells(genfun._expand(bounds, genfun._SERIES["full"]))
+        assert data[cell] == IntPoly((1, 1))
+        data[cell] = IntPoly((-1, 2))
+        monkeypatch.setattr(genfun, "_expand", lambda *args: MultiSeries(bounds, data))
+        monkeypatch.setattr(genfun, "count_stehling", lambda t, r: (
+            IntPoly(reference) if (tuple(t), r) == ((1, 2), 2) else count_stehling(t, r)))
+        assert verify_F2(bounds) == [
+            {"monomial": list(cell), "expected": list(reference), "got": [-1, 2]}]
 
     def test_off_region_term_is_a_mismatch(self, monkeypatch):
         # an x2 term in the equal piece's numerator lies off the diagonal, on

@@ -302,6 +302,37 @@ class TestStehlingWork:
         assert len(states) == entries - (m // 2 + 1)
         assert all(desc[0] <= r <= sum(desc) - r for _, desc, r in states)
 
+    def test_a_warm_query_is_one_memo_probe(self, monkeypatch):
+        # answers are keyed by the ascending type and b folded to
+        # min(b, m - b); a warm query, in any part order, reads that one key
+        # and never walks a state
+        parts, m = (10, 14, 15, 17), 56
+        memo = MemoTable()
+        cold = [count_stehling(parts, b, memo) for b in range(m + 1)]
+        answers = {key for key in memo._data if len(key) == 2}
+        assert answers == {(parts, b) for b in range(m // 2 + 1)}
+        probes = []
+        memo.get = lambda key: probes.append(key) or memo._data.get(key)
+        monkeypatch.setattr(recurrence, "_normal", None)
+        monkeypatch.setattr(recurrence, "_stehling", None)
+        for b in range(m + 1):
+            assert count_stehling((17, 10, 15, 14), b, memo) is cold[b]
+        assert probes == [(parts, min(b, m - b)) for b in range(m + 1)]
+
+    def test_a_memoized_row_is_one_memo_probe(self, monkeypatch):
+        # a stored row answers every b, in range or not, with no row walk
+        # and no weight read
+        t = GroupType((3, 5, 7))
+        memo = MemoTable()
+        cold = [count_hironaka(t, b, memo) for b in range(-2, 18)]
+        probes = []
+        memo.get = lambda key: probes.append(key) or memo._data.get(key)
+        monkeypatch.setattr(recurrence, "_hironaka_row", None)
+        monkeypatch.setattr(GroupType, "weight", None)
+        assert [count_hironaka(t, b, memo) for b in range(-2, 18)] == cold
+        assert cold[:2] == cold[-2:] == [ZERO, ZERO]
+        assert probes == [t] * 20
+
     def test_rank3_middle_index_entries(self):
         # 23,026 entries when parts were capped only at the index gap
         memo = MemoTable()
